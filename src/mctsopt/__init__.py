@@ -18,7 +18,7 @@ from .bayesopt import (Evaluation, OptimizeConfig, bayesopt_loop, propose_next,
 from .games import (GameState, NodeLimitError, NoisyOracleEvaluator, PlayerRole,
                     RandomRolloutEvaluator, SyntheticTree, SyntheticTreeSpec,
                     SyntheticTreeState, TicTacToeState, best_actions,
-                    empty_board, evaluate, generate_synthetic_tree, inject_trap,
+                    empty_board, evaluate, generate_synthetic_tree,
                     minimax_value, reachable_states)
 from .gp import (ConditioningError, GPModel, Matern52Kernel,
                  expected_improvement, fit, kernel_eval, ucb_acquisition)

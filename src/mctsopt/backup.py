@@ -1,11 +1,14 @@
 """Backup strategies: how a simulation return updates node values.
 
-Two families share one interface.  Visit-indexed averaging strategies
-(standard, ERWA, feedback, monotone) update every node on the simulated
-path with the new return, weighted by a function of that node's own visit
-count.  Parent-recomputation strategies (coulom, softmax) give the path
-end a plain running-mean update and then rebuild each ancestor's value
-from its children's current statistics, walking toward the root.
+Two families share one interface.  Averaging strategies update every node
+on the simulated path with the new return.  Standard, feedback and
+monotone are one table-driven path: Q is the weighted mean of a node's
+returns, each weighted by a table entry indexed by the node's visit count
+when the return arrived (standard's table is all ones).  ERWA is its own
+recursion, Q += alpha * (r - Q).  Parent-recomputation strategies (coulom,
+softmax) give the path end a plain running-mean update and then rebuild
+each ancestor's value from its children's current statistics, walking
+toward the root.
 
 Strategies are immutable after construction and safe to share between
 concurrent searches; the mutable per-node scratch (weighted return sum and
@@ -29,18 +32,26 @@ class BackupStrategy:
 
 
 class _AveragingBackup(BackupStrategy):
-    """Base for strategies where Q is a weighted mean of a node's returns."""
+    """Q is a weighted mean of a node's returns; the return reaching a node
+    with n visits gets weight table[n], or the table's last entry beyond it."""
+
+    def __init__(self, table):
+        self._table = [float(w) for w in table]
+        self._last = len(self._table) - 1
 
     def weight(self, n: int) -> float:
-        raise NotImplementedError
+        return self._table[n] if n < self._last else self._table[self._last]
 
     def backpropagate(self, path, value: float) -> None:
+        table = self._table
+        last = self._last
         for node in path:
-            w = self.weight(node.visits)
+            n = node.visits
+            w = table[n] if n < last else table[last]
             node.acc_value += w * value
             node.acc_weight += w
             node.q = node.acc_value / node.acc_weight
-            node.visits += 1
+            node.visits = n + 1
 
 
 class StandardBackup(_AveragingBackup):
@@ -48,8 +59,8 @@ class StandardBackup(_AveragingBackup):
 
     kind = "standard"
 
-    def weight(self, n: int) -> float:
-        return 1.0
+    def __init__(self):
+        super().__init__((1.0,))
 
 
 class ErwaBackup(BackupStrategy):
@@ -87,14 +98,9 @@ class FeedbackBackup(_AveragingBackup):
         self.profile = profile
         self.final_ratio = float(final_ratio)
         self.horizon = int(horizon)
-        # The four profiles take few distinct values; precompute per visit.
-        self._table = [
+        super().__init__(
             feedback_weight(profile, t, self.horizon, self.final_ratio)
-            for t in range(self.horizon + 1)
-        ]
-
-    def weight(self, n: int) -> float:
-        return self._table[min(n, self.horizon)]
+            for t in range(self.horizon + 1))
 
 
 class MonotoneBackup(_AveragingBackup):
@@ -112,13 +118,11 @@ class MonotoneBackup(_AveragingBackup):
         if not profile.w0 > 0.0:
             raise ValueError("monotone backup needs w(0) > 0")
         self.profile = profile
+        super().__init__(profile.table)
 
     @classmethod
     def from_knots(cls, knots, horizon: int) -> "MonotoneBackup":
         return cls(build_weight_table(knots, horizon, w0=1.0))
-
-    def weight(self, n: int) -> float:
-        return self.profile.weight_at_visit(n)
 
 
 def coulom_parent_update(children, maximizing: bool, x: float, y: int,
@@ -249,6 +253,12 @@ def parse_knots(text: str) -> tuple[float, ...]:
     if len(parts) < 2:
         raise ValueError(f"knot tuple needs at least two entries: {text!r}")
     return tuple(float(p) for p in parts)
+
+
+# Every config key strategy_to_keys writes and strategy_from_keys reads.
+BACKUP_KEYS = frozenset({"backup", "alpha", "coulom_x", "coulom_y",
+                         "feedback_profile", "final_ratio", "horizon", "knots",
+                         "w0"})
 
 
 def strategy_to_keys(strategy: BackupStrategy) -> dict[str, str]:

@@ -39,7 +39,6 @@ class OptimizeConfig:
     kappa: float = 2.0                 # UCB exploration weight
     candidate_count: int = 4096
     noise_var: float = 1e-4
-    lengthscale_factors: tuple = (1.0,)  # of box width; >1 entry = MLL grid
     seed: int = 0
 
     def __post_init__(self):
@@ -93,27 +92,15 @@ def _sobol(config: OptimizeConfig, count: int, *tags) -> np.ndarray:
 
 
 def fit_surrogate(X, t, config: OptimizeConfig) -> GPModel:
-    """Refit the GP: amplitude from target variance, lengthscales as a
-    fixed fraction of the box widths (or the best of a small grid by
-    marginal likelihood)."""
+    """Refit the GP: amplitude from target variance, lengthscales equal to
+    the box widths."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     t = np.asarray(t, dtype=float)
     amplitude = max(float(np.var(t)), _AMPLITUDE_FLOOR)
-    widths = config.highs - config.lows
-    best_model = None
-    best_mll = -np.inf
-    for factor in config.lengthscale_factors:
-        kernel = Matern52Kernel(amplitude=amplitude,
-                                lengthscales=tuple(widths * factor),
-                                noise_var=config.noise_var)
-        model = fit(X, t, kernel)
-        if len(config.lengthscale_factors) == 1:
-            return model
-        mll = model.log_marginal_likelihood()
-        if mll > best_mll:
-            best_mll = mll
-            best_model = model
-    return best_model
+    kernel = Matern52Kernel(amplitude=amplitude,
+                            lengthscales=tuple(config.highs - config.lows),
+                            noise_var=config.noise_var)
+    return fit(X, t, kernel)
 
 
 def _acquisition_values(model: GPModel, pts: np.ndarray,

@@ -25,26 +25,30 @@ import sys
 import time
 
 from . import __version__
-from .backup import parse_knots, format_knots, strategy_from_keys
+from .backup import BACKUP_KEYS, parse_knots, format_knots, strategy_from_keys
 from .bayesopt import OptimizeConfig, bayesopt_loop
 from .config import (Config, ConfigError, REQUIRED, format_sections,
                      read_config, write_atomic)
-from .games import (NoisyOracleEvaluator, RandomRolloutEvaluator,
-                    SyntheticTreeSpec, generate_synthetic_tree)
+from .games import NoisyOracleEvaluator, RandomRolloutEvaluator
 from .search import SearchConfig, run_search
 from .seeds import derive
 from .tournament import (MatchConfig, SyntheticPool, TicTacToePool, run_match,
                          winrate_objective)
 from .weights import build_weight_table
 
-_GAME_KEYS = {"kind", "descriptor", "branching", "depth", "leaf_win_prob",
-              "trap_level", "trap_count", "trap_prior",
-              "trap_deviation_win_prob", "trap_sealed_win_prob",
-              "seed", "trap_actions"}
-_BACKUP_KEYS = {"backup", "alpha", "coulom_x", "coulom_y", "feedback_profile",
-                "final_ratio", "horizon", "knots", "w0"}
-_ENGINE_KEYS = _BACKUP_KEYS | {"policy", "exploration", "evaluator", "noise_sd",
-                               "noise_seed", "simulations", "seed"}
+# Synthetic-tree keys of a [game]/[pool] section and their readers; omitted
+# keys take SyntheticPool's defaults.  seed picks the tree for gen-game and
+# analyze; trap_actions is written by gen-game for reference only.
+_SYNTHETIC_KEYS = {
+    "branching": Config.get_int, "depth": Config.get_int,
+    "leaf_win_prob": Config.get_float, "trap_level": Config.get_int,
+    "trap_count": Config.get_int, "trap_prior": Config.get_float,
+    "trap_deviation_win_prob": Config.get_float,
+    "trap_sealed_win_prob": Config.get_float, "seed": Config.get_int,
+}
+_GAME_KEYS = {"kind", "descriptor", "trap_actions", *_SYNTHETIC_KEYS}
+_ENGINE_KEYS = BACKUP_KEYS | {"policy", "exploration", "evaluator", "noise_sd",
+                              "noise_seed", "simulations", "seed"}
 _MATCH_KEYS = {"games", "sims_per_move", "seed"}
 _OPTIMIZE_KEYS = {"kind", "m", "horizon", "lo", "hi", "n_init", "n_iter",
                   "batch", "acquisition", "kappa", "candidate_count",
@@ -73,63 +77,29 @@ def _load_game_section(config: Config, section: str) -> dict:
         return {"kind": "tictactoe"}
     if kind != "synthetic":
         raise config.error(section, "kind", f"unknown game kind {kind!r}")
-    resolved = {
-        "kind": "synthetic",
-        "branching": config.get_int(section, "branching", 4),
-        "depth": config.get_int(section, "depth", 8),
-        "leaf_win_prob": config.get_float(section, "leaf_win_prob", 0.75),
-        "trap_level": config.get_int(section, "trap_level", None),
-        "trap_count": config.get_int(section, "trap_count", 0),
-        "trap_prior": config.get_float(section, "trap_prior", None),
-        "trap_deviation_win_prob": config.get_float(
-            section, "trap_deviation_win_prob", None),
-        "trap_sealed_win_prob": config.get_float(
-            section, "trap_sealed_win_prob", None),
-        "seed": config.get_int(section, "seed", 0),
-    }
-    return resolved
+    game = {"kind": "synthetic"}
+    for key, read in _SYNTHETIC_KEYS.items():
+        if key in config.section(section):
+            game[key] = read(config, section, key)
+    return game
 
 
 def _game_to_pool(game: dict):
     if game["kind"] == "tictactoe":
         return TicTacToePool()
-    return SyntheticPool(branching=game["branching"], depth=game["depth"],
-                         leaf_win_prob=game["leaf_win_prob"],
-                         trap_level=game["trap_level"],
-                         trap_count=game["trap_count"],
-                         trap_prior=game["trap_prior"],
-                         trap_deviation_win_prob=game["trap_deviation_win_prob"],
-                         trap_sealed_win_prob=game["trap_sealed_win_prob"])
+    return SyntheticPool(**{k: v for k, v in game.items()
+                            if k not in ("kind", "seed")})
 
 
 def _game_to_state(game: dict):
-    """Concrete root position (for analyze): the exact seeded tree."""
-    pool = _game_to_pool(game)
-    if game["kind"] == "tictactoe":
-        return pool.make(0)
-    spec = SyntheticTreeSpec(branching=game["branching"], depth=game["depth"],
-                             leaf_win_prob=game["leaf_win_prob"],
-                             trap_level=game["trap_level"],
-                             trap_count=game["trap_count"],
-                             trap_deviation_win_prob=game["trap_deviation_win_prob"],
-                             trap_sealed_win_prob=game["trap_sealed_win_prob"],
-                             seed=game["seed"])
-    root = generate_synthetic_tree(spec)
-    if game["trap_prior"] is not None and root.tree.trap_actions:
-        from .tournament import trap_priors
-        priors = trap_priors(game["branching"], root.tree.trap_actions,
-                             game["trap_prior"])
-        root = root.tree.with_root_priors(priors).root
-    return root
+    """Concrete root position (for gen-game and analyze): the seeded tree."""
+    return _game_to_pool(game).make(game.get("seed", 0))
 
 
-def _load_engine(config: Config, section: str,
-                 simulations_default: int = 100) -> SearchConfig:
+def _load_engine(config: Config, section: str) -> SearchConfig:
     config.check_keys(section, _ENGINE_KEYS)
-    entries = config.section(section)
-    backup_keys = {k: v for k, v in entries.items() if k in _BACKUP_KEYS}
     try:
-        backup = strategy_from_keys(backup_keys)
+        backup = strategy_from_keys(config.section(section))
     except (KeyError, ValueError) as exc:
         raise config.error(section, "backup", f"bad backup spec: {exc}") from exc
     evaluator_kind = config.get_str(section, "evaluator", "rollout")
@@ -144,10 +114,10 @@ def _load_engine(config: Config, section: str,
                            f"unknown evaluator {evaluator_kind!r}")
     try:
         return SearchConfig(
-            simulations=config.get_int(section, "simulations",
-                                       simulations_default),
-            policy=config.get_str(section, "policy", "UCB1"),
-            exploration=config.get_float(section, "exploration", 1.0),
+            simulations=config.get_int(section, "simulations", 100),
+            policy=config.get_str(section, "policy", SearchConfig.policy),
+            exploration=config.get_float(section, "exploration",
+                                         SearchConfig.exploration),
             backup=backup,
             evaluator=evaluator,
             seed=config.get_int(section, "seed", 0),
@@ -188,14 +158,8 @@ def _cmd_gen_game(config: Config, args) -> int:
                           f"descriptors; got kind=tictactoe")
     if args.seed is not None:
         game["seed"] = args.seed
-    spec = SyntheticTreeSpec(branching=game["branching"], depth=game["depth"],
-                             leaf_win_prob=game["leaf_win_prob"],
-                             trap_level=game["trap_level"],
-                             trap_count=game["trap_count"],
-                             trap_deviation_win_prob=game["trap_deviation_win_prob"],
-                             trap_sealed_win_prob=game["trap_sealed_win_prob"],
-                             seed=game["seed"])
-    root = generate_synthetic_tree(spec)
+    tree = _game_to_state(game).tree
+    spec = tree.spec
     section = {
         "kind": "synthetic",
         "branching": str(spec.branching),
@@ -206,14 +170,14 @@ def _cmd_gen_game(config: Config, args) -> int:
     }
     if spec.trap_level is not None:
         section["trap_level"] = str(spec.trap_level)
-    if root.tree.trap_actions:
-        section["trap_actions"] = ", ".join(map(str, root.tree.trap_actions))
-    if game["trap_prior"] is not None:
+    if tree.trap_actions:
+        section["trap_actions"] = ", ".join(map(str, tree.trap_actions))
+    if "trap_prior" in game:
         section["trap_prior"] = repr(game["trap_prior"])
-    if game["trap_deviation_win_prob"] is not None:
-        section["trap_deviation_win_prob"] = repr(game["trap_deviation_win_prob"])
-    if game["trap_sealed_win_prob"] is not None:
-        section["trap_sealed_win_prob"] = repr(game["trap_sealed_win_prob"])
+    if spec.trap_deviation_win_prob is not None:
+        section["trap_deviation_win_prob"] = repr(spec.trap_deviation_win_prob)
+    if spec.trap_sealed_win_prob is not None:
+        section["trap_sealed_win_prob"] = repr(spec.trap_sealed_win_prob)
     path = os.path.join(args.out, "game.ini")
     write_atomic(path, format_sections({"game": section}))
     _write_manifest(args.out, "gen-game", config, args, section)
@@ -249,26 +213,30 @@ def _cmd_analyze(config: Config, args) -> int:
     return 0
 
 
-def _cmd_tournament(config: Config, args) -> int:
+def _load_match(config: Config, seed: int | None) -> MatchConfig:
+    """The match of the [match], [pool], [engine_a] and [engine_b]
+    sections; ``seed``, when given, replaces the [match] seed."""
     config.check_keys("match", _MATCH_KEYS, required=("games", "sims_per_move"))
     pool = _game_to_pool(_load_game_section(config, "pool"))
-    seed = config.get_int("match", "seed", 0)
-    if args.seed is not None:
-        seed = args.seed
+    match_seed = config.get_int("match", "seed", 0)
     try:
-        match = MatchConfig(
+        return MatchConfig(
             pool=pool,
             engine_a=_load_engine(config, "engine_a"),
             engine_b=_load_engine(config, "engine_b"),
             games=config.get_int("match", "games", REQUIRED),
             sims_per_move=config.get_int("match", "sims_per_move", REQUIRED),
-            seed=seed,
+            seed=match_seed if seed is None else seed,
         )
+    except ConfigError:
+        raise
     except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise config.error("match", None, str(exc)) from exc
-    result, records = run_match(match, workers=args.workers)
+
+
+def _cmd_tournament(config: Config, args) -> int:
+    result, records = run_match(_load_match(config, args.seed),
+                                workers=args.workers)
     payload = {
         "games": result.games,
         "wins_a": result.wins_a,
@@ -328,17 +296,7 @@ def _cmd_optimize(config: Config, args) -> int:
     games = 0
     base = None
     if objective_kind == "match":
-        config.check_keys("match", _MATCH_KEYS,
-                          required=("games", "sims_per_move"))
-        pool = _game_to_pool(_load_game_section(config, "pool"))
-        base = MatchConfig(
-            pool=pool,
-            engine_a=_load_engine(config, "engine_a"),
-            engine_b=_load_engine(config, "engine_b"),
-            games=config.get_int("match", "games", REQUIRED),
-            sims_per_move=config.get_int("match", "sims_per_move", REQUIRED),
-            seed=config.get_int("match", "seed", 0),
-        )
+        base = _load_match(config, None)
         games = base.games
         default_noise = 0.25 / games     # binomial variance of a win-rate
     elif objective_kind == "stub":
@@ -365,6 +323,16 @@ def _cmd_optimize(config: Config, args) -> int:
         )
     except ValueError as exc:
         raise config.error("optimize", None, str(exc)) from exc
+    if base is not None:
+        # w(t) increases in every knot, so when the top corner of the box
+        # gives a weight table, every candidate in the box does.
+        try:
+            build_weight_table((hi,) * m, horizon,
+                               w0=1.0 if kind == "monotone" else 0.0)
+        except ValueError as exc:
+            raise config.error("optimize", "hi",
+                               f"knots at hi = {hi!r} give no {kind} "
+                               f"profile: {exc}") from exc
 
     eval_index = [0]
     if objective_kind == "stub":
@@ -480,10 +448,7 @@ def dispatch(argv) -> int:
                                   f"[{name}] for {args.command}")
         os.makedirs(args.out, exist_ok=True)
         return handler(config, args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

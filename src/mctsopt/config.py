@@ -35,9 +35,6 @@ class Config:
     def error(self, section: str, key: str | None, msg: str) -> ConfigError:
         return ConfigError(f"{self.anchor(section, key)}: {msg}")
 
-    def has(self, section: str) -> bool:
-        return section in self.sections
-
     def section(self, name: str) -> dict[str, str]:
         if name not in self.sections:
             raise ConfigError(f"{self.path}:0: missing required section [{name}]")
@@ -77,16 +74,6 @@ class Config:
 
     def get_float(self, section, key, default=None):
         return self._typed(section, key, default, float, "number")
-
-    def get_bool(self, section, key, default=None):
-        def convert(text):
-            low = text.strip().lower()
-            if low in ("true", "yes", "1", "on"):
-                return True
-            if low in ("false", "no", "0", "off"):
-                return False
-            raise ValueError(text)
-        return self._typed(section, key, default, convert, "boolean")
 
 
 _REQUIRED = object()

@@ -65,28 +65,15 @@ def best_actions(state: GameState) -> tuple[list, float]:
 
 
 class RandomRolloutEvaluator:
-    """Uniformly random playouts to the end of the game.
-
-    With samples > 1 the evaluation is the mean of several independent
-    playouts, trading simulation count for lower return variance.
-    """
+    """One uniformly random playout to the end of the game."""
 
     kind = "rollout"
 
-    def __init__(self, samples: int = 1):
-        if samples < 1:
-            raise ValueError("samples must be positive")
-        self.samples = int(samples)
-
     def evaluate(self, state: GameState, rng) -> float:
-        total = 0.0
-        for _ in range(self.samples):
-            probe = state
-            while not probe.terminal:
-                actions = probe.actions
-                probe = probe.apply(actions[rng.randrange(len(actions))])
-            total += probe.terminal_return
-        return total / self.samples
+        while not state.terminal:
+            actions = state.actions
+            state = state.apply(actions[rng.randrange(len(actions))])
+        return state.terminal_return
 
 
 class NoisyOracleEvaluator:

@@ -307,35 +307,3 @@ def generate_synthetic_tree(spec: SyntheticTreeSpec) -> SyntheticTreeState:
                          trap_level=spec.trap_level, spec=spec)
     return tree.root
 
-
-def inject_trap(root: SyntheticTreeState, k: int, seed: int) -> SyntheticTreeState:
-    """Rewrite one seeded root action of an existing tree into a level-k trap.
-
-    The chosen action must leave at least one sibling with a non-losing
-    value; candidate actions are tried in seeded order and the call fails
-    if every choice would leave the root player without a safe move.
-    Returns a new root; the input tree is unchanged.
-    """
-    if root.depth != 0:
-        raise ValueError("traps are injected at the root of a tree")
-    tree = root.tree
-    if not 1 <= k <= tree.depth - 1:
-        raise ValueError("trap level must satisfy 1 <= k <= depth - 1")
-    b = tree.branching
-    values = [tree.node_value(1, a) for a in range(b)]
-    pick = np.random.Generator(np.random.Philox(key=derive(seed, "inject")))
-    order = [int(a) for a in pick.permutation(b)]
-    chosen = None
-    for action in order:
-        if any(values[s] >= 0.5 for s in range(b) if s != action):
-            chosen = action
-            break
-    if chosen is None:
-        raise ValueError("no sibling could retain a non-losing value")
-    leaves = tree.leaf_values.copy()
-    carver = np.random.Generator(np.random.Philox(key=derive(seed, "inject", chosen)))
-    _carve_trap(leaves, b, tree.depth, 1, chosen, k, carver)
-    new_tree = SyntheticTree(b, tree.depth, leaves,
-                             trap_actions=tree.trap_actions + (chosen,),
-                             trap_level=k, spec=tree.spec)
-    return new_tree.root

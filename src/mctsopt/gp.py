@@ -102,14 +102,6 @@ class GPModel:
         var = prior - np.einsum("ij,ij->j", R, V)
         return mu, np.maximum(var, 0.0)
 
-    def log_marginal_likelihood(self) -> float:
-        """Log evidence of the (centered) targets under the kernel."""
-        c, _ = self._factor
-        centered = self.t - self.t_mean
-        logdet = 2.0 * np.sum(np.log(np.diag(c)))
-        return float(-0.5 * (centered @ self.solve_vec) - 0.5 * logdet
-                     - 0.5 * self.n * np.log(2.0 * np.pi))
-
 
 def fit(X, t, kernel: Matern52Kernel, center: bool = True) -> GPModel:
     """Fit an exact GP to inputs X (n x d) and targets t (n).

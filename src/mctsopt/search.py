@@ -49,18 +49,14 @@ class SearchNode:
         self.acc_value = 0.0
         self.acc_weight = 0.0
 
-    @property
-    def expanded(self) -> bool:
-        return self.children is not None
-
 
 @dataclass
 class SearchConfig:
     """Everything needed to rerun a search bit-for-bit."""
 
     simulations: int
-    policy: str = "PUCT"
-    exploration: float = 0.5
+    policy: str = "UCB1"
+    exploration: float = 1.0
     backup: BackupStrategy = field(default_factory=StandardBackup)
     evaluator: object = field(default_factory=RandomRolloutEvaluator)
     seed: int = 0

@@ -67,20 +67,6 @@ class WeightProfile:
         return float(self.table[min(n, self.horizon)])
 
 
-def _piece_integral(p1: float, p2: float, width: float) -> float:
-    """Exact integral of exp over one linear piece of p.
-
-    p1, p2 are the values of p at the piece endpoints and width is the
-    piece length; the slope is (p2 - p1) / width.
-    """
-    if width <= 0.0:
-        return 0.0
-    b = (p2 - p1) / width
-    if abs(b) > _FLAT_SLOPE:
-        return (np.exp(p2) - np.exp(p1)) / b
-    return width * np.exp(p1)
-
-
 def build_weight_table(knots, horizon: int, w0: float) -> WeightProfile:
     """Materialize the profile defined by ``knots`` over [0, horizon].
 

@@ -257,6 +257,39 @@ backup = standard
         assert all(r[3] == "4" for r in rows[1:])     # games column
         assert all(0.0 <= float(r[2]) <= 1.0 for r in rows[1:])
 
+    def test_box_beyond_knot_limit_rejected_before_any_game(
+            self, tmp_path, capsys, monkeypatch):
+        played = []
+        monkeypatch.setattr("mctsopt.cli.winrate_objective",
+                            lambda *a, **kw: played.append(a) or 0.5)
+        config = write_config(tmp_path, "o.ini", """
+[optimize]
+kind = softmax
+m = 2
+lo = 650
+hi = 710
+n_init = 2
+n_iter = 3
+
+[match]
+games = 4
+sims_per_move = 20
+
+[pool]
+branching = 3
+depth = 3
+
+[engine_a]
+
+[engine_b]
+""")
+        out = str(tmp_path / "ok")
+        assert run_cli("optimize", "--config", config, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "o.ini:6:" in err and "hi = 710.0" in err
+        assert played == []
+        assert not os.path.exists(os.path.join(out, "history.csv"))
+
 
 class TestValidation:
     def test_unknown_key_is_line_anchored_and_exits_2(self, tmp_path, capsys):
@@ -303,3 +336,15 @@ evaluator = psychic
         assert run_cli("analyze", "--config", config,
                        "--out", str(tmp_path / "x")) == 2
         assert "psychic" in capsys.readouterr().err
+
+    def test_out_under_a_regular_file(self, tmp_path, capsys):
+        config = write_config(tmp_path, "p.ini", """
+[profile]
+knots = (-1.0, -2.0)
+horizon = 5
+""")
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        assert run_cli("dump-profile", "--config", config,
+                       "--out", str(afile / "sub")) == 2
+        assert "error:" in capsys.readouterr().err

@@ -8,7 +8,7 @@ import pytest
 from mctsopt.games import (NodeLimitError, NoisyOracleEvaluator, PlayerRole,
                            RandomRolloutEvaluator,
                            SyntheticTreeSpec, best_actions, empty_board,
-                           evaluate, generate_synthetic_tree, inject_trap,
+                           evaluate, generate_synthetic_tree,
                            minimax_value, reachable_states)
 from mctsopt.games.tictactoe import TicTacToeState
 
@@ -135,29 +135,6 @@ class TestTrapTrees:
         child_values = [minimax_value(after.apply(a)) for a in after.actions]
         assert min(child_values) == 0.0
         assert max(child_values) > 0.0
-
-    def test_inject_trap_properties(self):
-        base = generate_synthetic_tree(
-            SyntheticTreeSpec(branching=3, depth=6, leaf_win_prob=0.8, seed=4))
-        trapped = inject_trap(base, k=2, seed=99)
-        action = trapped.tree.trap_actions[-1]
-        assert minimax_value(trapped.apply(action)) == 0.0
-        others = [minimax_value(trapped.apply(a)) for a in trapped.actions
-                  if a != action]
-        assert max(others) > 0.0
-        again = inject_trap(base, k=2, seed=99)
-        assert again.tree.trap_actions == trapped.tree.trap_actions
-        assert np.array_equal(again.tree.leaf_values, trapped.tree.leaf_values)
-        # Original tree untouched.
-        assert minimax_value(base.apply(action)) >= 0.0
-        assert not np.shares_memory(base.tree.leaf_values,
-                                    trapped.tree.leaf_values)
-
-    def test_inject_trap_needs_a_healthy_sibling(self):
-        dead = generate_synthetic_tree(
-            SyntheticTreeSpec(branching=2, depth=3, leaf_win_prob=0.0, seed=1))
-        with pytest.raises(ValueError):
-            inject_trap(dead, k=1, seed=0)
 
     def test_root_priors_attach_at_root_only(self):
         root = generate_synthetic_tree(self.SPEC)

@@ -187,17 +187,6 @@ class TestPosterior:
         _, var_after = after.posterior(x)
         assert var_after <= 1e-8 < var_before
 
-    def test_log_marginal_likelihood_matches_dense_formula(self):
-        rng = np.random.default_rng(12)
-        X = rng.uniform(size=(7, 2))
-        t = rng.normal(size=7)
-        k = Matern52Kernel(amplitude=1.0, lengthscales=(1.0, 1.0), noise_var=0.01)
-        model = fit(X, t, k, center=False)
-        K = k.matrix(X, X) + 0.01 * np.eye(7)
-        expected = (-0.5 * t @ np.linalg.inv(K) @ t
-                    - 0.5 * np.linalg.slogdet(K)[1]
-                    - 3.5 * np.log(2 * np.pi))
-        assert model.log_marginal_likelihood() == pytest.approx(expected, rel=1e-9)
 
 
 class TestAcquisitions:
