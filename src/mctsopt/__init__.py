@@ -19,14 +19,14 @@ from .games import (GameState, NodeLimitError, NoisyOracleEvaluator, PlayerRole,
                     RandomRolloutEvaluator, SyntheticTree, SyntheticTreeSpec,
                     SyntheticTreeState, TicTacToeState, best_actions,
                     empty_board, evaluate, generate_synthetic_tree,
-                    minimax_value, reachable_states)
+                    minimax_value, reachable_states, trap_priors)
 from .gp import (ConditioningError, GPModel, Matern52Kernel,
                  expected_improvement, fit, kernel_eval, ucb_acquisition)
 from .search import (SearchConfig, SearchNode, SearchResult, backpropagate,
                      puct_score, run_search, select_child, ucb1_score)
 from .tournament import (GameRecord, MatchConfig, MatchResult, SyntheticPool,
-                         TicTacToePool, play_game, run_match, trap_priors,
-                         wilson_interval, winrate_objective)
+                         TicTacToePool, play_game, run_match, wilson_interval,
+                         winrate_objective)
 from .weights import (WeightProfile, build_weight_table, erwa_knots,
                       feedback_weight)
 

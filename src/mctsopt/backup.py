@@ -255,10 +255,26 @@ def parse_knots(text: str) -> tuple[float, ...]:
     return tuple(float(p) for p in parts)
 
 
+# The config keys each backup kind reads besides "backup" itself.
+_KIND_KEYS = {
+    "standard": (),
+    "erwa": ("alpha",),
+    "coulom": ("coulom_x", "coulom_y"),
+    "feedback": ("feedback_profile", "final_ratio", "horizon"),
+    "monotone": ("knots", "horizon", "w0"),
+    "softmax": ("knots", "horizon"),
+}
+
 # Every config key strategy_to_keys writes and strategy_from_keys reads.
-BACKUP_KEYS = frozenset({"backup", "alpha", "coulom_x", "coulom_y",
-                         "feedback_profile", "final_ratio", "horizon", "knots",
-                         "w0"})
+BACKUP_KEYS = frozenset({"backup"}.union(*_KIND_KEYS.values()))
+
+
+class UnreadKeyError(ValueError):
+    """A backup key (``key``) that the chosen backup kind does not read."""
+
+    def __init__(self, key: str, kind: str):
+        super().__init__(f"backup {kind!r} does not read {key!r}")
+        self.key = key
 
 
 def strategy_to_keys(strategy: BackupStrategy) -> dict[str, str]:
@@ -284,8 +300,16 @@ def strategy_to_keys(strategy: BackupStrategy) -> dict[str, str]:
 
 
 def strategy_from_keys(keys: dict[str, str]) -> BackupStrategy:
-    """Inverse of strategy_to_keys; raises on unknown or missing keys."""
+    """Inverse of strategy_to_keys; non-backup keys (the rest of an engine
+    section) are ignored.  Raises on an unknown kind, a missing key, or a
+    backup key the kind does not read (UnreadKeyError)."""
     kind = keys.get("backup", "standard").lower()
+    if kind not in _KIND_KEYS:
+        raise ValueError(f"unknown backup kind {kind!r}")
+    reads = _KIND_KEYS[kind]
+    for key in keys:
+        if key in BACKUP_KEYS and key != "backup" and key not in reads:
+            raise UnreadKeyError(key, kind)
     if kind == "standard":
         return StandardBackup()
     if kind == "erwa":
@@ -301,7 +325,5 @@ def strategy_from_keys(keys: dict[str, str]) -> BackupStrategy:
                                      int(keys["horizon"]),
                                      w0=float(keys.get("w0", "1.0")))
         return MonotoneBackup(profile)
-    if kind == "softmax":
-        return SoftmaxBackup.from_knots(parse_knots(keys["knots"]),
-                                        int(keys["horizon"]))
-    raise ValueError(f"unknown backup kind {kind!r}")
+    return SoftmaxBackup.from_knots(parse_knots(keys["knots"]),
+                                    int(keys["horizon"]))

@@ -33,7 +33,7 @@ class OptimizeConfig:
 
     bounds: tuple                      # ((lo, hi), ...) per dimension
     n_init: int = 8
-    n_iter: int = 60
+    n_iter: int = 40
     batch: int = 1
     acquisition: str = "EI"
     kappa: float = 2.0                 # UCB exploration weight
@@ -44,8 +44,8 @@ class OptimizeConfig:
     def __post_init__(self):
         bounds = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
         object.__setattr__(self, "bounds", bounds)
-        if any(hi <= lo for lo, hi in bounds):
-            raise ValueError("bounds must be non-degenerate")
+        if not np.all(np.isfinite(bounds)) or any(hi <= lo for lo, hi in bounds):
+            raise ValueError("bounds must be finite with lo < hi")
         if self.n_init < 2:
             raise ValueError("n_init must be at least 2")
         if self.n_iter < self.n_init:
@@ -168,6 +168,23 @@ def propose_next(model: GPModel, config: OptimizeConfig, batch: int | None = Non
     return np.array(points)
 
 
+def _record(history: list, objective, point, callback=None) -> None:
+    """Evaluate ``point`` and append it to ``history``; a non-finite value is
+    marked failed and replaced by the worst finite value so far (or 0.0)."""
+    value = float(objective(np.asarray(point, dtype=float)))
+    failed = not np.isfinite(value)
+    if failed:
+        finite = [e.value for e in history if not e.failed]
+        value = min(finite) if finite else 0.0
+    history.append(Evaluation(tuple(float(v) for v in point), value, failed))
+    if callback is not None:
+        callback(history[-1])
+
+
+def _best_point(history: list) -> np.ndarray:
+    return np.array(max(history, key=lambda e: e.value).point)
+
+
 def bayesopt_loop(objective, config: OptimizeConfig,
                   callback=None) -> tuple[np.ndarray, list[Evaluation]]:
     """Maximize a noisy black-box objective over the configured box.
@@ -178,19 +195,8 @@ def bayesopt_loop(objective, config: OptimizeConfig,
     Returns the best observed point and the full evaluation history.
     """
     history: list[Evaluation] = []
-
-    def record(point: np.ndarray) -> None:
-        raw = float(objective(np.asarray(point, dtype=float)))
-        failed = not np.isfinite(raw)
-        if failed:
-            finite = [e.value for e in history if not e.failed]
-            raw = min(finite) if finite else 0.0
-        history.append(Evaluation(tuple(float(v) for v in point), raw, failed))
-        if callback is not None:
-            callback(history[-1])
-
     for point in _sobol(config, config.n_init, "init"):
-        record(point)
+        _record(history, objective, point, callback)
 
     while len(history) < config.n_iter:
         X = np.array([e.point for e in history])
@@ -198,10 +204,9 @@ def bayesopt_loop(objective, config: OptimizeConfig,
         model = fit_surrogate(X, t, config)
         todo = min(config.batch, config.n_iter - len(history))
         for point in propose_next(model, config, batch=todo):
-            record(point)
+            _record(history, objective, point, callback)
 
-    best = max(range(len(history)), key=lambda i: history[i].value)
-    return np.array(history[best].point), history
+    return _best_point(history), history
 
 
 def random_search(objective, config: OptimizeConfig) -> tuple[np.ndarray, list[Evaluation]]:
@@ -210,12 +215,6 @@ def random_search(objective, config: OptimizeConfig) -> tuple[np.ndarray, list[E
         key=derive(config.seed, "random-search")))
     history: list[Evaluation] = []
     for _ in range(config.n_iter):
-        point = config.lows + rng.random(config.dim) * (config.highs - config.lows)
-        value = float(objective(point))
-        failed = not np.isfinite(value)
-        if failed:
-            finite = [e.value for e in history if not e.failed]
-            value = min(finite) if finite else 0.0
-        history.append(Evaluation(tuple(point), value, failed))
-    best = max(range(len(history)), key=lambda i: history[i].value)
-    return np.array(history[best].point), history
+        _record(history, objective,
+                config.lows + rng.random(config.dim) * (config.highs - config.lows))
+    return _best_point(history), history

@@ -7,10 +7,11 @@ tournament    play a seeded match between two engines
 optimize      tune weight-profile knots by match win-rate
 dump-profile  materialize a weight profile as CSV for plotting
 
-Every run reads one strict config file (unknown keys are errors, messages
-are line-anchored), writes its outputs atomically under --out, and drops
-a manifest.ini capturing the resolved configuration and package version,
-sufficient to reproduce the run bit-for-bit.  Exit status 0 on success,
+Every run reads one strict config file, writes its outputs atomically
+under --out, and drops a manifest.ini capturing the resolved configuration
+and package version, sufficient to reproduce the run bit-for-bit.  Unknown
+keys, and keys the run would not read, are line-anchored errors; [game]
+and [pool] keys are SyntheticTreeSpec's fields.  Exit status 0 on success,
 2 on config/validation errors.
 """
 
@@ -25,19 +26,22 @@ import sys
 import time
 
 from . import __version__
-from .backup import BACKUP_KEYS, parse_knots, format_knots, strategy_from_keys
+from .backup import (BACKUP_KEYS, UnreadKeyError, format_knots, parse_knots,
+                     strategy_from_keys)
 from .bayesopt import OptimizeConfig, bayesopt_loop
 from .config import (Config, ConfigError, REQUIRED, format_sections,
                      read_config, write_atomic)
-from .games import NoisyOracleEvaluator, RandomRolloutEvaluator
+from .games import (NoisyOracleEvaluator, RandomRolloutEvaluator,
+                    SyntheticTreeSpec)
 from .search import SearchConfig, run_search
 from .seeds import derive
 from .tournament import (MatchConfig, SyntheticPool, TicTacToePool, run_match,
                          winrate_objective)
 from .weights import build_weight_table
 
-# Synthetic-tree keys of a [game]/[pool] section and their readers; omitted
-# keys take SyntheticPool's defaults.  seed picks the tree for gen-game and
+# The SyntheticTreeSpec fields a [game]/[pool] section may set, with their
+# readers; gen-game writes its descriptor from the same list.  Omitted keys
+# take SyntheticTreeSpec's defaults.  seed picks the tree for gen-game and
 # analyze; trap_actions is written by gen-game for reference only.
 _SYNTHETIC_KEYS = {
     "branching": Config.get_int, "depth": Config.get_int,
@@ -50,9 +54,12 @@ _GAME_KEYS = {"kind", "descriptor", "trap_actions", *_SYNTHETIC_KEYS}
 _ENGINE_KEYS = BACKUP_KEYS | {"policy", "exploration", "evaluator", "noise_sd",
                               "noise_seed", "simulations", "seed"}
 _MATCH_KEYS = {"games", "sims_per_move", "seed"}
-_OPTIMIZE_KEYS = {"kind", "m", "horizon", "lo", "hi", "n_init", "n_iter",
-                  "batch", "acquisition", "kappa", "candidate_count",
-                  "noise_var", "objective", "stub_noise_sd", "seed"}
+# [optimize] keys passed to OptimizeConfig as they are, with its defaults.
+_OPTIMIZER_KEYS = {"n_init": Config.get_int, "n_iter": Config.get_int,
+                   "batch": Config.get_int, "acquisition": Config.get_str,
+                   "kappa": Config.get_float, "candidate_count": Config.get_int}
+_OPTIMIZE_KEYS = {"kind", "m", "horizon", "lo", "hi", "noise_var", "objective",
+                  "seed", *_OPTIMIZER_KEYS}
 _PROFILE_KEYS = {"knots", "horizon", "w0"}
 
 
@@ -77,29 +84,33 @@ def _load_game_section(config: Config, section: str) -> dict:
         return {"kind": "tictactoe"}
     if kind != "synthetic":
         raise config.error(section, "kind", f"unknown game kind {kind!r}")
-    game = {"kind": "synthetic"}
-    for key, read in _SYNTHETIC_KEYS.items():
-        if key in config.section(section):
-            game[key] = read(config, section, key)
-    return game
+    game = {key: read(config, section, key)
+            for key, read in _SYNTHETIC_KEYS.items()
+            if key in config.section(section)}
+    try:
+        SyntheticTreeSpec(**game).validate()
+    except ValueError as exc:
+        raise config.error(section, None, str(exc)) from exc
+    return {"kind": "synthetic", **game}
 
 
 def _game_to_pool(game: dict):
     if game["kind"] == "tictactoe":
         return TicTacToePool()
-    return SyntheticPool(**{k: v for k, v in game.items()
-                            if k not in ("kind", "seed")})
+    return SyntheticPool(**{k: v for k, v in game.items() if k != "kind"})
 
 
 def _game_to_state(game: dict):
     """Concrete root position (for gen-game and analyze): the seeded tree."""
-    return _game_to_pool(game).make(game.get("seed", 0))
+    return _game_to_pool(game).make(game.get("seed", SyntheticTreeSpec.seed))
 
 
 def _load_engine(config: Config, section: str) -> SearchConfig:
     config.check_keys(section, _ENGINE_KEYS)
     try:
         backup = strategy_from_keys(config.section(section))
+    except UnreadKeyError as exc:
+        raise config.error(section, exc.key, f"bad backup spec: {exc}") from exc
     except (KeyError, ValueError) as exc:
         raise config.error(section, "backup", f"bad backup spec: {exc}") from exc
     evaluator_kind = config.get_str(section, "evaluator", "rollout")
@@ -159,25 +170,13 @@ def _cmd_gen_game(config: Config, args) -> int:
     if args.seed is not None:
         game["seed"] = args.seed
     tree = _game_to_state(game).tree
-    spec = tree.spec
-    section = {
-        "kind": "synthetic",
-        "branching": str(spec.branching),
-        "depth": str(spec.depth),
-        "leaf_win_prob": repr(spec.leaf_win_prob),
-        "trap_count": str(spec.trap_count),
-        "seed": str(spec.seed),
-    }
-    if spec.trap_level is not None:
-        section["trap_level"] = str(spec.trap_level)
+    section = {"kind": "synthetic"}
+    for key in _SYNTHETIC_KEYS:
+        value = getattr(tree.spec, key)
+        if value is not None:
+            section[key] = repr(value)
     if tree.trap_actions:
         section["trap_actions"] = ", ".join(map(str, tree.trap_actions))
-    if "trap_prior" in game:
-        section["trap_prior"] = repr(game["trap_prior"])
-    if spec.trap_deviation_win_prob is not None:
-        section["trap_deviation_win_prob"] = repr(spec.trap_deviation_win_prob)
-    if spec.trap_sealed_win_prob is not None:
-        section["trap_sealed_win_prob"] = repr(spec.trap_sealed_win_prob)
     path = os.path.join(args.out, "game.ini")
     write_atomic(path, format_sections({"game": section}))
     _write_manifest(args.out, "gen-game", config, args, section)
@@ -312,12 +311,8 @@ def _cmd_optimize(config: Config, args) -> int:
     try:
         opt = OptimizeConfig(
             bounds=tuple((lo, hi) for _ in range(m)),
-            n_init=config.get_int("optimize", "n_init", 8),
-            n_iter=config.get_int("optimize", "n_iter", 40),
-            batch=config.get_int("optimize", "batch", 1),
-            acquisition=config.get_str("optimize", "acquisition", "EI"),
-            kappa=config.get_float("optimize", "kappa", 2.0),
-            candidate_count=config.get_int("optimize", "candidate_count", 4096),
+            **{key: read(config, "optimize", key, getattr(OptimizeConfig, key))
+               for key, read in _OPTIMIZER_KEYS.items()},
             noise_var=config.get_float("optimize", "noise_var", default_noise),
             seed=seed,
         )
@@ -339,10 +334,9 @@ def _cmd_optimize(config: Config, args) -> int:
         objective = _stub_objective(opt.bounds, seed)
     else:
         def objective(x):
-            value = winrate_objective(tuple(x), kind, base, horizon=horizon,
-                                      seed=derive(seed, "eval", eval_index[0]),
-                                      workers=args.workers)
-            return value
+            return winrate_objective(tuple(x), kind, base, horizon=horizon,
+                                     seed=derive(seed, "eval", eval_index[0]),
+                                     workers=args.workers)
 
     history_rows = []
 
@@ -396,8 +390,7 @@ def _cmd_dump_profile(config: Config, args) -> int:
 _COMMANDS = {
     "gen-game": (_cmd_gen_game, {"game"},
                  "Generate a synthetic-tree descriptor (game.ini). "
-                 "Config: [game] branching, depth, leaf_win_prob, trap_level, "
-                 "trap_count, trap_prior, seed."),
+                 f"Config: [game] {', '.join(_SYNTHETIC_KEYS)}."),
     "analyze": (_cmd_analyze, {"game", "search"},
                 "Search one position and dump per-child statistics. "
                 "Config: [game] (or descriptor = file), [search]. "

@@ -4,7 +4,7 @@ from .base import GameState, NodeLimitError, PlayerRole
 from .oracle import (NoisyOracleEvaluator, RandomRolloutEvaluator,
                      best_actions, evaluate, minimax_value)
 from .synthetic import (SyntheticTree, SyntheticTreeSpec, SyntheticTreeState,
-                        generate_synthetic_tree)
+                        generate_synthetic_tree, trap_priors)
 from .tictactoe import TicTacToeState, empty_board, reachable_states
 
 __all__ = [
@@ -12,6 +12,6 @@ __all__ = [
     "NoisyOracleEvaluator", "RandomRolloutEvaluator",
     "best_actions", "evaluate", "minimax_value",
     "SyntheticTree", "SyntheticTreeSpec", "SyntheticTreeState",
-    "generate_synthetic_tree",
+    "generate_synthetic_tree", "trap_priors",
     "TicTacToeState", "empty_board", "reachable_states",
 ]

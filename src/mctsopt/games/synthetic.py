@@ -13,7 +13,7 @@ statistics even though its exact value is 0.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,28 +29,34 @@ _HEAL_ATTEMPTS = 1000
 
 @dataclass(frozen=True)
 class SyntheticTreeSpec:
-    """Reproducibility token for a synthetic tree.
+    """The one declaration of a synthetic game: its reproducibility token,
+    and, through make(seed), a pool of trees that differ only in seed.
 
-    trap_level (k) and trap_count control trap injection at generation
-    time; identical specs always generate identical trees.
+    trap_level (k) and trap_count control trap injection; trap_prior is
+    the root prior mass the traps share (see trap_priors), which tempts
+    prior-guided tree policies.  Identical specs give identical trees.
     """
 
-    branching: int
-    depth: int
+    branching: int = 4
+    depth: int = 8
     leaf_win_prob: float = 0.75
     trap_level: int | None = None
     trap_count: int = 0
+    trap_prior: float | None = None
     trap_deviation_win_prob: float | None = None
     trap_sealed_win_prob: float | None = None
     seed: int = 0
+
+    kind = "synthetic"
+
+    def make(self, seed: int) -> "SyntheticTreeState":
+        return generate_synthetic_tree(replace(self, seed=seed))
 
     def validate(self) -> None:
         if self.branching < 2:
             raise ValueError("branching must be at least 2")
         if self.depth < 1:
             raise ValueError("depth must be at least 1")
-        if not 0.0 <= self.leaf_win_prob <= 1.0:
-            raise ValueError("leaf_win_prob must be in [0, 1]")
         if self.trap_count < 0:
             raise ValueError("trap_count must be non-negative")
         if self.trap_count >= self.branching:
@@ -59,12 +65,16 @@ class SyntheticTreeSpec:
             raise ValueError("trap_count > 0 requires trap_level")
         if self.trap_level is not None and not 1 <= self.trap_level <= self.depth - 1:
             raise ValueError("trap_level must satisfy 1 <= k <= depth - 1")
-        if self.trap_deviation_win_prob is not None and \
-                not 0.0 <= self.trap_deviation_win_prob <= 1.0:
-            raise ValueError("trap_deviation_win_prob must be in [0, 1]")
-        if self.trap_sealed_win_prob is not None and \
-                not 0.0 <= self.trap_sealed_win_prob <= 1.0:
-            raise ValueError("trap_sealed_win_prob must be in [0, 1]")
+        if self.trap_prior is not None:
+            if self.trap_count == 0:
+                raise ValueError("trap_prior needs trap_count > 0")
+            if not 0.0 < self.trap_prior < 1.0:
+                raise ValueError("trap_prior must be in (0, 1)")
+        for name in ("leaf_win_prob", "trap_deviation_win_prob",
+                     "trap_sealed_win_prob"):
+            p = getattr(self, name)
+            if p is not None and not 0.0 <= p <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1]")
         n_leaves = self.branching**self.depth
         if n_leaves * self.branching // (self.branching - 1) > MAX_ORACLE_NODES:
             raise ValueError(f"tree exceeds the {MAX_ORACLE_NODES} node ceiling")
@@ -79,37 +89,24 @@ class SyntheticTree:
     """
 
     __slots__ = ("branching", "depth", "leaf_values", "trap_actions",
-                 "trap_level", "root_priors", "spec", "_levels",
-                 "_fingerprint", "_actions")
+                 "root_priors", "spec", "_levels", "_fingerprint", "_actions")
 
     def __init__(self, branching: int, depth: int, leaf_values: np.ndarray,
-                 trap_actions: tuple[int, ...] = (), trap_level: int | None = None,
+                 trap_actions: tuple[int, ...] = (),
                  root_priors: tuple[float, ...] | None = None,
                  spec: SyntheticTreeSpec | None = None):
         if len(leaf_values) != branching**depth:
             raise ValueError("leaf array does not match branching**depth")
-        if root_priors is not None and len(root_priors) != branching:
-            raise ValueError("root_priors length must equal branching")
         self.branching = branching
         self.depth = depth
         self.leaf_values = np.ascontiguousarray(leaf_values, dtype=np.float64)
         self.leaf_values.setflags(write=False)
         self.trap_actions = tuple(trap_actions)
-        self.trap_level = trap_level
         self.root_priors = root_priors
         self.spec = spec
         self._levels = None
         self._fingerprint = None
         self._actions = tuple(range(branching))
-
-    def with_root_priors(self, priors) -> "SyntheticTree":
-        """Copy of this tree exposing the given root-action priors
-        (emulating a policy suggestion, e.g. one that tempts the trap)."""
-        return SyntheticTree(self.branching, self.depth, self.leaf_values,
-                             trap_actions=self.trap_actions,
-                             trap_level=self.trap_level,
-                             root_priors=tuple(float(p) for p in priors),
-                             spec=self.spec)
 
     @property
     def root(self) -> "SyntheticTreeState":
@@ -131,9 +128,7 @@ class SyntheticTree:
             levels[self.depth] = self.leaf_values
             vals = self.leaf_values
             for j in range(self.depth - 1, -1, -1):
-                stacked = vals.reshape(-1, self.branching)
-                vals = stacked.max(axis=1) if j % 2 == 0 else stacked.min(axis=1)
-                levels[j] = vals
+                vals = levels[j] = _reduce(vals, self.branching, j)
             self._levels = levels
         return self._levels
 
@@ -182,9 +177,7 @@ class SyntheticTreeState(GameState):
 
     @property
     def action_priors(self):
-        if self.depth == 0:
-            return self.tree.root_priors
-        return None
+        return self.tree.root_priors if self.depth == 0 else None
 
     def state_key(self):
         return ("synthetic", self.tree.fingerprint, self.depth, self.index)
@@ -194,84 +187,94 @@ class SyntheticTreeState(GameState):
                 f"b={self.tree.branching}, d={self.tree.depth})")
 
 
-def _subtree_slice(tree_depth: int, branching: int, depth: int, index: int) -> slice:
-    width = branching**(tree_depth - depth)
+def _subtree_slice(spec: SyntheticTreeSpec, depth: int, index: int) -> slice:
+    width = spec.branching**(spec.depth - depth)
     return slice(index * width, (index + 1) * width)
 
 
-def _slice_value(leaves: np.ndarray, branching: int, depth: int,
-                 tree_depth: int) -> float:
-    """Minimax value of a subtree given its leaf slice and its root depth."""
-    vals = leaves
-    for j in range(tree_depth - 1, depth - 1, -1):
-        stacked = vals.reshape(-1, branching)
-        vals = stacked.max(axis=1) if j % 2 == 0 else stacked.min(axis=1)
-    return float(vals[0])
+def _reduce(vals: np.ndarray, branching: int, j: int) -> np.ndarray:
+    """Node values of level j from those of level j + 1 (MAX moves at even j)."""
+    stacked = vals.reshape(-1, branching)
+    return stacked.max(axis=1) if j % 2 == 0 else stacked.min(axis=1)
 
 
-def _carve_trap(leaves: np.ndarray, branching: int, tree_depth: int,
-                depth: int, index: int, remaining: int, rng,
-                deviation_win_prob: float | None = None,
-                sealed_win_prob: float | None = None) -> None:
+def _action_value(leaves: np.ndarray, spec: SyntheticTreeSpec) -> float:
+    """Minimax value of a root action's subtree, given its leaves."""
+    for j in range(spec.depth - 1, 0, -1):
+        leaves = _reduce(leaves, spec.branching, j)
+    return float(leaves[0])
+
+
+def _carve_trap(leaves: np.ndarray, spec: SyntheticTreeSpec, depth: int,
+                index: int, remaining: int, rng) -> None:
     """Rewrite the subtree at (depth, index) into a forced loss.
 
     remaining counts plies until the win is sealed.  At the trapped
     player's nodes (even depth) every action continues the loss; at the
     opponent's nodes one seeded killer action continues it while the
     other actions keep ordinary random subtrees (redrawn with
-    deviation_win_prob when given, which makes the trap's shallow
+    trap_deviation_win_prob when given, which makes the trap's shallow
     statistics look extra healthy).
 
     When remaining hits 0 the loss is locked in for every continuation.
-    With sealed_win_prob unset the whole remaining subtree is zeroed (the
-    loss is also plainly visible).  With it set, the killer pattern
+    With trap_sealed_win_prob unset the whole remaining subtree is zeroed
+    (the loss is also plainly visible).  With it set, the killer pattern
     instead continues to the leaves with deviations redrawn at
-    sealed_win_prob: the value is still 0 everywhere below the seal, but
-    converting it takes precise play, so shallow statistics stay muddy.
+    trap_sealed_win_prob: the value is still 0 everywhere below the seal,
+    but converting it takes precise play, so shallow statistics stay muddy.
     """
-    if remaining == 0 and sealed_win_prob is None:
-        leaves[_subtree_slice(tree_depth, branching, depth, index)] = 0.0
+    b = spec.branching
+    if remaining == 0 and spec.trap_sealed_win_prob is None:
+        leaves[_subtree_slice(spec, depth, index)] = 0.0
         return
-    if depth == tree_depth:
+    if depth == spec.depth:
         leaves[index] = 0.0
         return
-    sealed = remaining == 0
+    below = max(0, remaining - 1)
     if depth % 2 == 1:
-        killer = int(rng.integers(branching))
-        off_p = sealed_win_prob if sealed else deviation_win_prob
-        for a in range(branching):
-            child = index * branching + a
+        killer = int(rng.integers(b))
+        off_p = (spec.trap_sealed_win_prob if remaining == 0
+                 else spec.trap_deviation_win_prob)
+        for a in range(b):
+            child = index * b + a
             if a == killer:
-                _carve_trap(leaves, branching, tree_depth, depth + 1, child,
-                            max(0, remaining - 1), rng, deviation_win_prob,
-                            sealed_win_prob)
+                _carve_trap(leaves, spec, depth + 1, child, below, rng)
             elif off_p is not None:
-                sl = _subtree_slice(tree_depth, branching, depth + 1, child)
+                sl = _subtree_slice(spec, depth + 1, child)
                 leaves[sl] = (rng.random(sl.stop - sl.start) < off_p)
     else:
-        for a in range(branching):
-            _carve_trap(leaves, branching, tree_depth, depth + 1,
-                        index * branching + a, max(0, remaining - 1), rng,
-                        deviation_win_prob, sealed_win_prob)
+        for a in range(b):
+            _carve_trap(leaves, spec, depth + 1, index * b + a, below, rng)
 
 
 def _heal_action(leaves: np.ndarray, spec: SyntheticTreeSpec, action: int) -> None:
     """Redraw one root action's subtree until its value is non-losing."""
-    b, d = spec.branching, spec.depth
-    sl = _subtree_slice(d, b, 1, action)
-    if _slice_value(leaves[sl], b, 1, d) >= 0.5:
+    sl = _subtree_slice(spec, 1, action)
+    if _action_value(leaves[sl], spec) >= 0.5:
         return
     width = sl.stop - sl.start
     for attempt in range(1, _HEAL_ATTEMPTS + 1):
         rng = np.random.Generator(np.random.Philox(
             key=derive(spec.seed, "heal", action, attempt)))
         fresh = (rng.random(width) < spec.leaf_win_prob).astype(np.float64)
-        if _slice_value(fresh, b, 1, d) >= 0.5:
+        if _action_value(fresh, spec) >= 0.5:
             leaves[sl] = fresh
             return
     raise ValueError(
         f"could not make root action {action} non-losing after "
         f"{_HEAL_ATTEMPTS} redraws; leaf_win_prob is too hostile")
+
+
+def trap_priors(branching: int, trap_actions, trap_mass: float) -> tuple:
+    """Prior vector giving ``trap_mass`` to the trap actions jointly; the
+    other actions share the remainder evenly."""
+    if not 0.0 < trap_mass < 1.0:
+        raise ValueError("trap prior mass must be in (0, 1)")
+    n_trap = len(trap_actions)
+    rest = (1.0 - trap_mass) / (branching - n_trap)
+    per_trap = trap_mass / n_trap
+    return tuple(per_trap if a in trap_actions else rest
+                 for a in range(branching))
 
 
 def generate_synthetic_tree(spec: SyntheticTreeSpec) -> SyntheticTreeState:
@@ -280,7 +283,8 @@ def generate_synthetic_tree(spec: SyntheticTreeSpec) -> SyntheticTreeState:
     With trap_count > 0, exactly trap_count seeded root actions are
     rewritten into level-k traps and every other root action is
     guaranteed non-losing (its subtree is redrawn if needed), so trap
-    trees always offer a safe move.
+    trees always offer a safe move.  With trap_prior set, the root
+    carries the priors of trap_priors; otherwise it has none.
     """
     spec.validate()
     b, d = spec.branching, spec.depth
@@ -299,11 +303,10 @@ def generate_synthetic_tree(spec: SyntheticTreeSpec) -> SyntheticTreeState:
         for action in trap_actions:
             carver = np.random.Generator(np.random.Philox(
                 key=derive(spec.seed, "trap", action)))
-            _carve_trap(leaves, b, d, 1, action, spec.trap_level, carver,
-                        spec.trap_deviation_win_prob,
-                        spec.trap_sealed_win_prob)
+            _carve_trap(leaves, spec, 1, action, spec.trap_level, carver)
 
-    tree = SyntheticTree(b, d, leaves, trap_actions=trap_actions,
-                         trap_level=spec.trap_level, spec=spec)
-    return tree.root
+    priors = (None if spec.trap_prior is None
+              else trap_priors(b, trap_actions, spec.trap_prior))
+    return SyntheticTree(b, d, leaves, trap_actions=trap_actions,
+                         root_priors=priors, spec=spec).root
 

@@ -2,9 +2,10 @@
 
 Each iteration selects a path with UCB1 or PUCT, expands the first
 unexpanded node it reaches (adding all children at once, their states
-materialized lazily), evaluates the state of the child the tree policy
-picks there, and hands the return to the backup strategy.  The updated
-path ends at the expanded node itself: a node's first visit is its own
+materialized lazily, their priors the state's normalized action_priors or
+uniform ones), evaluates the state of the child the tree policy picks
+there, and hands the return to the backup strategy.  The updated path
+ends at the expanded node itself: a node's first visit is its own
 expansion pass, so after any search every internal node satisfies
 N_parent = 1 + sum of child visits, and the root children's visit counts
 sum to simulations - 1.
@@ -60,7 +61,6 @@ class SearchConfig:
     backup: BackupStrategy = field(default_factory=StandardBackup)
     evaluator: object = field(default_factory=RandomRolloutEvaluator)
     seed: int = 0
-    root_priors: tuple | None = None
 
     def __post_init__(self):
         if self.policy not in POLICIES:
@@ -145,9 +145,9 @@ def backpropagate(path, value: float, strategy: BackupStrategy) -> None:
     strategy.backpropagate(path, value)
 
 
-def _expand(node: SearchNode, state: GameState, root_priors) -> None:
+def _expand(node: SearchNode, state: GameState) -> None:
     actions = state.actions
-    priors = root_priors if root_priors is not None else state.action_priors
+    priors = state.action_priors
     if priors is not None:
         if len(priors) != len(actions):
             raise ValueError("prior vector length does not match action count")
@@ -186,8 +186,7 @@ def run_search(root: GameState, config: SearchConfig) -> SearchResult:
                 value = state.terminal_return
                 break
             if node.children is None:
-                _expand(node, state,
-                        config.root_priors if node is root_node else None)
+                _expand(node, state)
                 i = _select_index(node, use_ucb1, c)
                 value = evaluate(state.apply(node.child_actions[i]),
                                  evaluator, rollout_rng)

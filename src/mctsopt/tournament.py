@@ -16,49 +16,13 @@ from dataclasses import dataclass, replace
 
 from .backup import MonotoneBackup, SoftmaxBackup, StandardBackup
 from .games.base import GameState, PlayerRole
-from .games.synthetic import SyntheticTreeSpec, generate_synthetic_tree
+# A spec is its own pool: make(seed) draws the spec's tree at ``seed``.
+from .games.synthetic import SyntheticTreeSpec as SyntheticPool
 from .games.tictactoe import empty_board
 from .search import SearchConfig, run_search
 from .seeds import derive
 
 _Z95 = 1.959963984540054  # normal 97.5% quantile
-
-
-@dataclass(frozen=True)
-class SyntheticPool:
-    """Distribution over synthetic trees: each draw is a fresh seeded tree.
-
-    trap_prior, when set, is the prior mass given to the trap action(s)
-    at the root (split evenly if there are several), making the trap
-    tempting for prior-guided tree policies; the other actions share the
-    remainder evenly.
-    """
-
-    branching: int = 4
-    depth: int = 8
-    leaf_win_prob: float = 0.75
-    trap_level: int | None = None
-    trap_count: int = 0
-    trap_prior: float | None = None
-    trap_deviation_win_prob: float | None = None
-    trap_sealed_win_prob: float | None = None
-
-    kind = "synthetic"
-
-    def make(self, seed: int) -> GameState:
-        spec = SyntheticTreeSpec(branching=self.branching, depth=self.depth,
-                                 leaf_win_prob=self.leaf_win_prob,
-                                 trap_level=self.trap_level,
-                                 trap_count=self.trap_count,
-                                 trap_deviation_win_prob=self.trap_deviation_win_prob,
-                                 trap_sealed_win_prob=self.trap_sealed_win_prob,
-                                 seed=seed)
-        root = generate_synthetic_tree(spec)
-        if self.trap_prior is not None and root.tree.trap_actions:
-            priors = trap_priors(self.branching, root.tree.trap_actions,
-                                 self.trap_prior)
-            root = root.tree.with_root_priors(priors).root
-        return root
 
 
 @dataclass(frozen=True)
@@ -69,17 +33,6 @@ class TicTacToePool:
 
     def make(self, seed: int) -> GameState:
         return empty_board()
-
-
-def trap_priors(branching: int, trap_actions, trap_mass: float) -> tuple:
-    """Prior vector giving ``trap_mass`` to the trap actions jointly."""
-    if not 0.0 < trap_mass < 1.0:
-        raise ValueError("trap prior mass must be in (0, 1)")
-    n_trap = len(trap_actions)
-    rest = (1.0 - trap_mass) / (branching - n_trap)
-    per_trap = trap_mass / n_trap
-    return tuple(per_trap if a in trap_actions else rest
-                 for a in range(branching))
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ from mctsopt.backup import (CoulomBackup, ErwaBackup, FeedbackBackup,
                             MonotoneBackup, SoftmaxBackup, StandardBackup,
                             coulom_parent_update, parse_knots, format_knots,
                             softmax_parent_update, strategy_from_keys,
-                            strategy_to_keys)
+                            strategy_to_keys, UnreadKeyError)
 from mctsopt.search import SearchNode
 from mctsopt.weights import WeightProfile, build_weight_table, erwa_knots
 
@@ -328,3 +328,14 @@ class TestSerialization:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             strategy_from_keys({"backup": "bogus"})
+
+    def test_key_of_another_kind_rejected(self):
+        softmax = {"backup": "softmax", "knots": "(-3.0, -2.0)",
+                   "horizon": "100"}
+        assert strategy_from_keys({**softmax, "policy": "PUCT"}).kind == "softmax"
+        for key, value in (("w0", "5"), ("alpha", "0.3"), ("coulom_x", "2")):
+            with pytest.raises(UnreadKeyError) as info:
+                strategy_from_keys({**softmax, key: value})
+            assert info.value.key == key
+        with pytest.raises(UnreadKeyError):
+            strategy_from_keys({"horizon": "100"})      # standard by default

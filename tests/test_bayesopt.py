@@ -25,6 +25,10 @@ class TestConfigValidation:
         OptimizeConfig(**good)
         with pytest.raises(ValueError):
             OptimizeConfig(bounds=((1.0, 1.0),))
+        for bounds in (((float("nan"), 1.0),), ((0.0, float("nan")),),
+                       ((float("-inf"), 1.0),), ((0.0, float("inf")),)):
+            with pytest.raises(ValueError):
+                OptimizeConfig(bounds=bounds)
         with pytest.raises(ValueError):
             OptimizeConfig(bounds=((0.0, 1.0),), n_init=1)
         with pytest.raises(ValueError):

@@ -5,7 +5,8 @@ import json
 import os
 import re
 
-from mctsopt.cli import dispatch
+from mctsopt.cli import _SYNTHETIC_KEYS, dispatch
+from mctsopt.config import read_config
 
 
 def run_cli(*argv):
@@ -100,6 +101,38 @@ seed = 9
         assert run_cli("gen-game", "--config", config, "--out", out,
                        "--seed", "123") == 0
         assert "seed = 123" in open(os.path.join(out, "game.ini")).read()
+
+    def test_every_key_round_trips(self, tmp_path, capsys):
+        keys = {"branching": "4", "depth": "6", "leaf_win_prob": "0.7",
+                "trap_level": "2", "trap_count": "1", "trap_prior": "0.8",
+                "trap_deviation_win_prob": "0.9", "trap_sealed_win_prob": "0.6",
+                "seed": "9"}
+        assert set(keys) == set(_SYNTHETIC_KEYS)
+        inline = "[game]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+        gg = str(tmp_path / "gg")
+        assert run_cli("gen-game", "--config",
+                       write_config(tmp_path, "g.ini", inline), "--out", gg) == 0
+        descriptor = os.path.join(gg, "game.ini")
+        written = read_config(descriptor).section("game")
+        assert {k: float(written[k]) for k in keys} == \
+            {k: float(v) for k, v in keys.items()}
+        assert written["kind"] == "synthetic" and "trap_actions" in written
+
+        search = ("\n[search]\nsimulations = 200\npolicy = PUCT\n"
+                  "exploration = 0.5\nbackup = softmax\n"
+                  "knots = (-3.0, -2.0)\nhorizon = 200\nseed = 4\n")
+        outputs = []
+        for name, game in (("inline", inline),
+                           ("by-ref", f"[game]\ndescriptor = {descriptor}\n")):
+            capsys.readouterr()
+            out = str(tmp_path / name)
+            assert run_cli("analyze", "--config",
+                           write_config(tmp_path, name + ".ini", game + search),
+                           "--out", out) == 0
+            outputs.append((capsys.readouterr().out,
+                            open(os.path.join(out, "children.csv")).read()))
+        assert outputs[0] == outputs[1]
+        assert "0.8" in outputs[0][1]         # the trap's prior reached the root
 
     def test_manifest_written(self, tmp_path):
         config = write_config(tmp_path, "g.ini", self.CONFIG)
@@ -348,3 +381,54 @@ horizon = 5
         assert run_cli("dump-profile", "--config", config,
                        "--out", str(afile / "sub")) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_trap_prior_without_traps(self, tmp_path, capsys):
+        config = write_config(tmp_path, "bad.ini", """
+[game]
+branching = 3
+depth = 3
+trap_prior = 0.9
+
+[search]
+simulations = 10
+""")
+        assert run_cli("analyze", "--config", config,
+                       "--out", str(tmp_path / "x")) == 2
+        err = capsys.readouterr().err
+        assert "bad.ini:2:" in err and "trap_prior" in err
+
+    def test_backup_key_of_another_kind(self, tmp_path, capsys):
+        config = write_config(tmp_path, "bad.ini", """
+[game]
+branching = 3
+depth = 3
+
+[search]
+simulations = 10
+backup = softmax
+knots = (-3.0, -2.0)
+horizon = 10
+w0 = 5
+alpha = 0.3
+""")
+        assert run_cli("analyze", "--config", config,
+                       "--out", str(tmp_path / "x")) == 2
+        err = capsys.readouterr().err
+        assert "bad.ini:11:" in err and "'w0'" in err
+
+    def test_stub_noise_sd_is_unknown(self, tmp_path, capsys):
+        config = write_config(tmp_path, "bad.ini",
+                              TestOptimize.STUB + "stub_noise_sd = 0.1\n")
+        assert run_cli("optimize", "--config", config,
+                       "--out", str(tmp_path / "x")) == 2
+        err = capsys.readouterr().err
+        assert "bad.ini:10:" in err and "stub_noise_sd" in err
+
+    def test_nan_bound(self, tmp_path, capsys):
+        config = write_config(tmp_path, "bad.ini",
+                              TestOptimize.STUB.replace("lo = -10", "lo = nan"))
+        out = str(tmp_path / "x")
+        assert run_cli("optimize", "--config", config, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "bad.ini:2:" in err and "finite" in err
+        assert not os.path.exists(os.path.join(out, "history.csv"))

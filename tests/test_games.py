@@ -1,6 +1,7 @@
 """Game environments against brute-force and Monte-Carlo oracles."""
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from mctsopt.games import (NodeLimitError, NoisyOracleEvaluator, PlayerRole,
                            RandomRolloutEvaluator,
                            SyntheticTreeSpec, best_actions, empty_board,
                            evaluate, generate_synthetic_tree,
-                           minimax_value, reachable_states)
+                           minimax_value, reachable_states, trap_priors)
 from mctsopt.games.tictactoe import TicTacToeState
 
 
@@ -76,6 +77,12 @@ class TestSyntheticGeneration:
                               trap_level=1).validate()
         with pytest.raises(ValueError):
             SyntheticTreeSpec(branching=4, depth=13).validate()
+        with pytest.raises(ValueError):     # trap_prior needs a trap
+            SyntheticTreeSpec(branching=2, depth=3, trap_prior=0.5).validate()
+        for prior in (0.0, 1.0, 1.5):
+            with pytest.raises(ValueError):
+                SyntheticTreeSpec(branching=3, depth=3, trap_level=1,
+                                  trap_count=1, trap_prior=prior).validate()
 
     def test_role_alternation(self):
         root = generate_synthetic_tree(SyntheticTreeSpec(2, 4, seed=3))
@@ -138,10 +145,15 @@ class TestTrapTrees:
 
     def test_root_priors_attach_at_root_only(self):
         root = generate_synthetic_tree(self.SPEC)
-        boosted = root.tree.with_root_priors((0.7, 0.1, 0.1, 0.1)).root
-        assert boosted.action_priors == (0.7, 0.1, 0.1, 0.1)
+        boosted = generate_synthetic_tree(replace(self.SPEC, trap_prior=0.7))
+        trap = root.tree.trap_actions
+        assert boosted.action_priors == trap_priors(4, trap, 0.7)
+        assert boosted.action_priors[trap[0]] == pytest.approx(0.7)
         assert boosted.apply(0).action_priors is None
         assert root.action_priors is None
+        # The prior changes what the search is told, not the game.
+        assert boosted.tree.trap_actions == trap
+        assert np.array_equal(boosted.tree.leaf_values, root.tree.leaf_values)
 
 
 class TestTicTacToe:

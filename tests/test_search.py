@@ -142,13 +142,22 @@ class TestRunSearchBasics:
             assert run_search(state, cfg).best_action == 2
 
     def test_root_priors_override(self):
+        # Priors reach a search only through the state's action_priors; the
+        # search normalizes them at the root and gives deeper nodes uniform
+        # ones.
+        tree = SyntheticTree(branching=3, depth=2, leaf_values=np.zeros(9),
+                             root_priors=(3.0, 1.0, 1.0))
         cfg = SearchConfig(simulations=50, policy="PUCT", exploration=2.0,
-                           seed=1, root_priors=(0.9,) + (0.1 / 8,) * 8)
-        result = run_search(empty_board(), cfg)
-        assert result.root.children[0].prior == pytest.approx(0.9 / 0.9999999999)
+                           seed=1)
+        result = run_search(tree.root, cfg)
+        assert [c.prior for c in result.root.children] == \
+            pytest.approx([0.6, 0.2, 0.2])
+        for child in result.root.children:
+            assert [g.prior for g in child.children] == pytest.approx([1 / 3] * 3)
+        wrong = SyntheticTree(branching=3, depth=2, leaf_values=np.zeros(9),
+                              root_priors=(1.0, 2.0))
         with pytest.raises(ValueError):
-            run_search(empty_board(),
-                       SearchConfig(simulations=5, root_priors=(1.0, 2.0)))
+            run_search(wrong.root, SearchConfig(simulations=5))
 
     def test_backpropagate_validates(self):
         node = SearchNode(is_max=True)

@@ -2,11 +2,13 @@
 
 import pytest
 
+from mctsopt import trap_priors
 from mctsopt.backup import SoftmaxBackup, StandardBackup
+from mctsopt.games import SyntheticTreeSpec, generate_synthetic_tree
 from mctsopt.search import SearchConfig
 from mctsopt.tournament import (MatchConfig, SyntheticPool, TicTacToePool,
-                                play_game, run_match, trap_priors,
-                                wilson_interval, winrate_objective)
+                                play_game, run_match, wilson_interval,
+                                winrate_objective)
 
 
 def engine(sims=100, **kw):
@@ -52,6 +54,19 @@ class TestConfigValidation:
         assert trap_priors(4, (2,), 0.7) == pytest.approx((0.1, 0.1, 0.7, 0.1))
         with pytest.raises(ValueError):
             trap_priors(4, (0,), 1.5)
+
+    def test_synthetic_pool_is_the_spec(self):
+        pool = SyntheticPool(branching=3, depth=4, trap_level=2, trap_count=1,
+                             trap_prior=0.6)
+        assert SyntheticPool() == SyntheticTreeSpec(branching=4, depth=8)
+        root = pool.make(17)
+        expected = generate_synthetic_tree(
+            SyntheticTreeSpec(branching=3, depth=4, trap_level=2,
+                              trap_count=1, trap_prior=0.6, seed=17))
+        assert root.tree.spec.seed == 17 and pool.seed == 0
+        assert root.tree.spec == expected.tree.spec
+        assert root.action_priors == expected.action_priors
+        assert (root.tree.leaf_values == expected.tree.leaf_values).all()
 
 
 class TestPlayGame:
