@@ -22,8 +22,8 @@ from .games import (GameState, NodeLimitError, NoisyOracleEvaluator, PlayerRole,
                     minimax_value, reachable_states, trap_priors)
 from .gp import (ConditioningError, GPModel, Matern52Kernel,
                  expected_improvement, fit, kernel_eval, ucb_acquisition)
-from .search import (SearchConfig, SearchNode, SearchResult, backpropagate,
-                     puct_score, run_search, select_child, ucb1_score)
+from .search import (SearchConfig, SearchNode, SearchResult, run_search,
+                     select_child)
 from .tournament import (GameRecord, MatchConfig, MatchResult, SyntheticPool,
                          TicTacToePool, play_game, run_match, wilson_interval,
                          winrate_objective)

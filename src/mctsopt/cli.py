@@ -9,10 +9,12 @@ dump-profile  materialize a weight profile as CSV for plotting
 
 Every run reads one strict config file, writes its outputs atomically
 under --out, and drops a manifest.ini capturing the resolved configuration
-and package version, sufficient to reproduce the run bit-for-bit.  Unknown
-keys, and keys the run would not read, are line-anchored errors; [game]
-and [pool] keys are SyntheticTreeSpec's fields.  Exit status 0 on success,
-2 on config/validation errors.
+and package version, sufficient to reproduce the run bit-for-bit.  Each
+section is read through one table of the keys the run reads, with their
+types and defaults (Config.read), so any other key is a line-anchored
+error: a match sets its engines' budget and seeds per move, and optimize
+sets both backups, so those engine sections do not take those keys.
+Exit status 0 on success, 2 on config/validation errors.
 """
 
 from __future__ import annotations
@@ -39,54 +41,67 @@ from .tournament import (MatchConfig, SyntheticPool, TicTacToePool, run_match,
                          winrate_objective)
 from .weights import build_weight_table
 
-# The SyntheticTreeSpec fields a [game]/[pool] section may set, with their
-# readers; gen-game writes its descriptor from the same list.  Omitted keys
-# take SyntheticTreeSpec's defaults.  seed picks the tree for gen-game and
+# Section tables: key -> (type, default).  The SyntheticTreeSpec fields a
+# [game]/[pool] section may set, with the spec's defaults; gen-game writes
+# its descriptor from the same list.  seed picks the tree for gen-game and
 # analyze; trap_actions is written by gen-game for reference only.
-_SYNTHETIC_KEYS = {
-    "branching": Config.get_int, "depth": Config.get_int,
-    "leaf_win_prob": Config.get_float, "trap_level": Config.get_int,
-    "trap_count": Config.get_int, "trap_prior": Config.get_float,
-    "trap_deviation_win_prob": Config.get_float,
-    "trap_sealed_win_prob": Config.get_float, "seed": Config.get_int,
-}
-_GAME_KEYS = {"kind", "descriptor", "trap_actions", *_SYNTHETIC_KEYS}
-_ENGINE_KEYS = BACKUP_KEYS | {"policy", "exploration", "evaluator", "noise_sd",
-                              "noise_seed", "simulations", "seed"}
-_MATCH_KEYS = {"games", "sims_per_move", "seed"}
-# [optimize] keys passed to OptimizeConfig as they are, with its defaults.
-_OPTIMIZER_KEYS = {"n_init": Config.get_int, "n_iter": Config.get_int,
-                   "batch": Config.get_int, "acquisition": Config.get_str,
-                   "kappa": Config.get_float, "candidate_count": Config.get_int}
-_OPTIMIZE_KEYS = {"kind", "m", "horizon", "lo", "hi", "noise_var", "objective",
-                  "seed", *_OPTIMIZER_KEYS}
-_PROFILE_KEYS = {"knots", "horizon", "w0"}
+_SYNTHETIC_KEYS = {key: (convert, getattr(SyntheticTreeSpec, key))
+                   for key, convert in (
+    ("branching", int), ("depth", int), ("leaf_win_prob", float),
+    ("trap_level", int), ("trap_count", int), ("trap_prior", float),
+    ("trap_deviation_win_prob", float), ("trap_sealed_win_prob", float),
+    ("seed", int))}
+_GAME_KEYS = {"kind": (str, SyntheticTreeSpec.kind), "trap_actions": (str, None),
+              **_SYNTHETIC_KEYS}
+# Every engine section reads these; each role adds its own keys (below),
+# and evaluator = noisy_oracle adds _NOISE_KEYS.
+_ENGINE_KEYS = {"policy": (str, SearchConfig.policy),
+                "exploration": (float, SearchConfig.exploration),
+                "evaluator": (str, "rollout")}
+_NOISE_KEYS = {"noise_sd": (float, 0.0), "noise_seed": (int, 0)}
+# A match sets the budget and the seeds per move, so only [search] reads
+# them; under optimize the optimiser sets both backups, so only analyze and
+# tournament read the backup keys.
+_BACKUP_TABLE = {key: (str, None) for key in sorted(BACKUP_KEYS)}
+_SEARCH_KEYS = {"simulations": (int, SearchConfig.simulations),
+                "seed": (int, SearchConfig.seed), **_BACKUP_TABLE}
+_MATCH_KEYS = {"games": (int, REQUIRED), "sims_per_move": (int, REQUIRED),
+               "seed": (int, MatchConfig.seed)}
+# The keys from noise_var on are OptimizeConfig's fields.  horizon and
+# noise_var default to None, which _cmd_optimize resolves (from the match,
+# under objective = match).
+_OPTIMIZE_KEYS = {"kind": (str, "softmax"), "m": (int, 6), "lo": (float, -10.0),
+                  "hi": (float, -4.0), "objective": (str, "match"),
+                  "horizon": (int, None), "noise_var": (float, None),
+                  **{key: (convert, getattr(OptimizeConfig, key))
+                     for key, convert in (
+                         ("n_init", int), ("n_iter", int), ("batch", int),
+                         ("acquisition", str), ("kappa", float),
+                         ("candidate_count", int), ("seed", int))}}
+_PROFILE_KEYS = {"knots": (str, REQUIRED), "horizon": (int, REQUIRED),
+                 "w0": (float, 1.0)}
 
 
 def _load_game_section(config: Config, section: str) -> dict:
-    """Resolve a [game]/[pool] section, following a descriptor reference."""
-    config.check_keys(section, _GAME_KEYS)
-    entries = dict(config.section(section))
+    """Resolve a [game]/[pool] section, following a descriptor reference:
+    {"kind": "tictactoe"}, or kind "synthetic" and every spec field."""
+    entries = config.section(section)
     if "descriptor" in entries:
         if len(entries) > 1:
             raise config.error(section, "descriptor",
                                "descriptor cannot be combined with other keys")
-        ref = read_config(entries["descriptor"])
-        ref.check_keys("game", _GAME_KEYS)
-        config = ref
-        section = "game"
-    kind = config.get_str(section, "kind", "synthetic")
+        ref = config.read(section, {"descriptor": (str, REQUIRED)})["descriptor"]
+        config, section = read_config(ref), "game"
+        entries = config.section(section)
+    # kind picks the table, and reading it raw is what read would return.
+    kind = entries.get("kind", SyntheticTreeSpec.kind)
     if kind == "tictactoe":
-        for key in config.section(section):
-            if key != "kind":
-                raise config.error(section, key,
-                                   f"{key!r} does not apply to tictactoe")
+        config.read(section, {"kind": (str, REQUIRED)})
         return {"kind": "tictactoe"}
     if kind != "synthetic":
         raise config.error(section, "kind", f"unknown game kind {kind!r}")
-    game = {key: read(config, section, key)
-            for key, read in _SYNTHETIC_KEYS.items()
-            if key in config.section(section)}
+    keys = config.read(section, _GAME_KEYS)
+    game = {key: keys[key] for key in _SYNTHETIC_KEYS}
     try:
         SyntheticTreeSpec(**game).validate()
     except ValueError as exc:
@@ -105,34 +120,32 @@ def _game_to_state(game: dict):
     return _game_to_pool(game).make(game.get("seed", SyntheticTreeSpec.seed))
 
 
-def _load_engine(config: Config, section: str) -> SearchConfig:
-    config.check_keys(section, _ENGINE_KEYS)
+def _load_engine(config: Config, section: str, role_keys: dict) -> SearchConfig:
+    """The engine of one section, read through _ENGINE_KEYS plus the keys
+    its role reads (``role_keys``)."""
+    table = {**_ENGINE_KEYS, **role_keys}
+    if config.section(section).get("evaluator") == "noisy_oracle":
+        table.update(_NOISE_KEYS)
+    keys = config.read(section, table)
     try:
         backup = strategy_from_keys(config.section(section))
     except UnreadKeyError as exc:
         raise config.error(section, exc.key, f"bad backup spec: {exc}") from exc
     except (KeyError, ValueError) as exc:
         raise config.error(section, "backup", f"bad backup spec: {exc}") from exc
-    evaluator_kind = config.get_str(section, "evaluator", "rollout")
+    evaluator_kind = keys.pop("evaluator")
     if evaluator_kind == "rollout":
         evaluator = RandomRolloutEvaluator()
     elif evaluator_kind == "noisy_oracle":
-        evaluator = NoisyOracleEvaluator(
-            noise_sd=config.get_float(section, "noise_sd", 0.0),
-            seed=config.get_int(section, "noise_seed", 0))
+        evaluator = NoisyOracleEvaluator(noise_sd=keys.pop("noise_sd"),
+                                         seed=keys.pop("noise_seed"))
     else:
         raise config.error(section, "evaluator",
                            f"unknown evaluator {evaluator_kind!r}")
     try:
-        return SearchConfig(
-            simulations=config.get_int(section, "simulations", 100),
-            policy=config.get_str(section, "policy", SearchConfig.policy),
-            exploration=config.get_float(section, "exploration",
-                                         SearchConfig.exploration),
-            backup=backup,
-            evaluator=evaluator,
-            seed=config.get_int(section, "seed", 0),
-        )
+        return SearchConfig(backup=backup, evaluator=evaluator,
+                            **{k: v for k, v in keys.items()
+                               if k not in BACKUP_KEYS})
     except ValueError as exc:
         raise config.error(section, None, str(exc)) from exc
 
@@ -188,7 +201,7 @@ def _cmd_gen_game(config: Config, args) -> int:
 def _cmd_analyze(config: Config, args) -> int:
     game = _load_game_section(config, "game")
     state = _game_to_state(game)
-    engine = _load_engine(config, "search")
+    engine = _load_engine(config, "search", _SEARCH_KEYS)
     if args.seed is not None:
         engine = engine.with_seed(args.seed)
     result = run_search(state, engine)
@@ -212,29 +225,26 @@ def _cmd_analyze(config: Config, args) -> int:
     return 0
 
 
-def _load_match(config: Config, seed: int | None) -> MatchConfig:
+def _load_match(config: Config, seed: int | None,
+                engine_keys: dict) -> MatchConfig:
     """The match of the [match], [pool], [engine_a] and [engine_b]
-    sections; ``seed``, when given, replaces the [match] seed."""
-    config.check_keys("match", _MATCH_KEYS, required=("games", "sims_per_move"))
+    sections; ``seed``, when given, replaces the [match] seed, and
+    ``engine_keys`` are the keys the engine sections add (_load_engine)."""
+    match = config.read("match", _MATCH_KEYS)
     pool = _game_to_pool(_load_game_section(config, "pool"))
-    match_seed = config.get_int("match", "seed", 0)
+    engine_a = _load_engine(config, "engine_a", engine_keys)
+    engine_b = _load_engine(config, "engine_b", engine_keys)
+    if seed is not None:
+        match["seed"] = seed
     try:
-        return MatchConfig(
-            pool=pool,
-            engine_a=_load_engine(config, "engine_a"),
-            engine_b=_load_engine(config, "engine_b"),
-            games=config.get_int("match", "games", REQUIRED),
-            sims_per_move=config.get_int("match", "sims_per_move", REQUIRED),
-            seed=match_seed if seed is None else seed,
-        )
-    except ConfigError:
-        raise
+        return MatchConfig(pool=pool, engine_a=engine_a, engine_b=engine_b,
+                           **match)
     except ValueError as exc:
         raise config.error("match", None, str(exc)) from exc
 
 
 def _cmd_tournament(config: Config, args) -> int:
-    result, records = run_match(_load_match(config, args.seed),
+    result, records = run_match(_load_match(config, args.seed, _BACKUP_TABLE),
                                 workers=args.workers)
     payload = {
         "games": result.games,
@@ -279,23 +289,21 @@ def _stub_objective(bounds, seed):
 
 
 def _cmd_optimize(config: Config, args) -> int:
-    config.check_keys("optimize", _OPTIMIZE_KEYS)
-    kind = config.get_str("optimize", "kind", "softmax")
+    settings = config.read("optimize", _OPTIMIZE_KEYS)
+    kind, m, lo, hi, objective_kind, horizon = (
+        settings.pop(key)
+        for key in ("kind", "m", "lo", "hi", "objective", "horizon"))
     if kind not in ("softmax", "monotone"):
         raise config.error("optimize", "kind",
                            f"kind must be softmax or monotone, got {kind!r}")
-    m = config.get_int("optimize", "m", 6)
-    lo = config.get_float("optimize", "lo", -10.0)
-    hi = config.get_float("optimize", "hi", -4.0)
-    seed = config.get_int("optimize", "seed", 0)
     if args.seed is not None:
-        seed = args.seed
-    objective_kind = config.get_str("optimize", "objective", "match")
+        settings["seed"] = args.seed
+    seed = settings["seed"]
 
     games = 0
     base = None
     if objective_kind == "match":
-        base = _load_match(config, None)
+        base = _load_match(config, None, {})
         games = base.games
         default_noise = 0.25 / games     # binomial variance of a win-rate
     elif objective_kind == "stub":
@@ -305,17 +313,13 @@ def _cmd_optimize(config: Config, args) -> int:
                            f"objective must be match or stub, got "
                            f"{objective_kind!r}")
 
-    horizon = config.get_int(
-        "optimize", "horizon",
-        base.sims_per_move if base is not None else 100)
+    if horizon is None:
+        horizon = base.sims_per_move if base is not None else 100
+    if settings["noise_var"] is None:
+        settings["noise_var"] = default_noise
     try:
-        opt = OptimizeConfig(
-            bounds=tuple((lo, hi) for _ in range(m)),
-            **{key: read(config, "optimize", key, getattr(OptimizeConfig, key))
-               for key, read in _OPTIMIZER_KEYS.items()},
-            noise_var=config.get_float("optimize", "noise_var", default_noise),
-            seed=seed,
-        )
+        opt = OptimizeConfig(bounds=tuple((lo, hi) for _ in range(m)),
+                             **settings)
     except ValueError as exc:
         raise config.error("optimize", None, str(exc)) from exc
     if base is not None:
@@ -367,13 +371,12 @@ def _cmd_optimize(config: Config, args) -> int:
 
 
 def _cmd_dump_profile(config: Config, args) -> int:
-    config.check_keys("profile", _PROFILE_KEYS, required=("knots", "horizon"))
+    keys = config.read("profile", _PROFILE_KEYS)
     try:
-        knots = parse_knots(config.get_str("profile", "knots", REQUIRED))
+        knots = parse_knots(keys["knots"])
     except ValueError as exc:
         raise config.error("profile", "knots", str(exc)) from exc
-    horizon = config.get_int("profile", "horizon", REQUIRED)
-    w0 = config.get_float("profile", "w0", 1.0)
+    horizon, w0 = keys["horizon"], keys["w0"]
     try:
         profile = build_weight_table(knots, horizon, w0)
     except ValueError as exc:

@@ -2,8 +2,9 @@
 
 The reader tracks the line of every key so validation errors point at the
 exact location, and unknown keys are hard errors (a typo must never turn
-into a silent default).  Values are plain strings; callers convert with
-the typed getters, which anchor conversion errors the same way.
+into a silent default).  Values are plain strings; callers read a
+section through a table of the keys they use, which converts the values
+and anchors conversion errors the same way.
 """
 
 from __future__ import annotations
@@ -40,44 +41,40 @@ class Config:
             raise ConfigError(f"{self.path}:0: missing required section [{name}]")
         return self.sections[name]
 
-    def check_keys(self, section: str, allowed, required=()) -> None:
-        """Reject unknown keys and missing required keys."""
+    def read(self, section: str, table: dict) -> dict:
+        """Read a section through its table, which maps each key the run
+        reads to ``(type, default)`` with type str, int or float; a default
+        of REQUIRED makes the key required.
+
+        A key not in the table, a missing required key and a value that
+        does not convert are errors anchored at the key's line (the
+        section's, for a missing key).  Returns every table key's value,
+        the default for an absent key.
+        """
         entries = self.section(section)
         for key in entries:
-            if key not in allowed:
+            if key not in table:
                 raise self.error(section, key,
                                  f"unknown key {key!r} in [{section}]")
-        for key in required:
-            if key not in entries:
-                raise self.error(
-                    section, None, f"[{section}] is missing required key {key!r}")
-
-    def _typed(self, section: str, key: str, default, convert, typename):
-        entries = self.section(section)
-        if key not in entries:
-            if default is _REQUIRED:
+        values = {}
+        for key, (convert, default) in table.items():
+            if key in entries:
+                try:
+                    values[key] = convert(entries[key])
+                except (TypeError, ValueError) as exc:
+                    raise self.error(section, key,
+                                     f"{key} = {entries[key]!r} is not a "
+                                     f"valid {_TYPE_NAMES[convert]}") from exc
+            elif default is REQUIRED:
                 raise self.error(section, None,
                                  f"[{section}] is missing required key {key!r}")
-            return default
-        try:
-            return convert(entries[key])
-        except (TypeError, ValueError) as exc:
-            raise self.error(section, key,
-                             f"{key} = {entries[key]!r} is not a valid "
-                             f"{typename}") from exc
-
-    def get_str(self, section, key, default=None):
-        return self._typed(section, key, default, str, "string")
-
-    def get_int(self, section, key, default=None):
-        return self._typed(section, key, default, int, "integer")
-
-    def get_float(self, section, key, default=None):
-        return self._typed(section, key, default, float, "number")
+            else:
+                values[key] = default
+        return values
 
 
-_REQUIRED = object()
-REQUIRED = _REQUIRED
+REQUIRED = object()
+_TYPE_NAMES = {str: "string", int: "integer", float: "number"}
 
 
 def read_config(path: str) -> Config:

@@ -55,7 +55,7 @@ class SearchNode:
 class SearchConfig:
     """Everything needed to rerun a search bit-for-bit."""
 
-    simulations: int
+    simulations: int = 100
     policy: str = "UCB1"
     exploration: float = 1.0
     backup: BackupStrategy = field(default_factory=StandardBackup)
@@ -83,20 +83,11 @@ class SearchResult:
     root: SearchNode
 
 
-def ucb1_score(q: float, n_child: float, n_parent: float, c: float) -> float:
-    """Q_a + C * sqrt(ln(N_parent) / (N_a + 1))."""
-    return q + c * math.sqrt(math.log(n_parent) / (n_child + 1.0))
-
-
-def puct_score(q: float, prior: float, n_child: float, n_parent: float,
-               c: float) -> float:
-    """Q_a + C * prior_a * sqrt(N_parent) / (N_a + 1)."""
-    return q + c * prior * math.sqrt(n_parent) / (n_child + 1.0)
-
-
 def _select_index(node: SearchNode, use_ucb1: bool, c: float) -> int:
     """Index of the tree-policy child; ties break to the lowest action index.
 
+    UCB1 scores a child Q_a + C * sqrt(ln(N_parent) / (N_a + 1)), PUCT
+    Q_a + C * prior_a * sqrt(N_parent) / (N_a + 1).
     The exploitation term is the child's Q for a maximizing parent and
     1 - Q for a minimizing one, so both players chase their own winning
     chance; unvisited children count as Q = 0.5.
@@ -134,15 +125,6 @@ def select_child(parent: SearchNode, policy: str = "UCB1", c: float = 1.0):
     if not parent.children:
         raise ValueError("cannot select at an unexpanded or childless node")
     return parent.child_actions[_select_index(parent, policy == "UCB1", c)]
-
-
-def backpropagate(path, value: float, strategy: BackupStrategy) -> None:
-    """Update every node on a root-to-leaf path with a simulation return."""
-    if not path:
-        raise ValueError("path must be non-empty")
-    if not 0.0 <= value <= 1.0:
-        raise ValueError("returns must lie in [0, 1]")
-    strategy.backpropagate(path, value)
 
 
 def _expand(node: SearchNode, state: GameState) -> None:

@@ -5,6 +5,8 @@ import json
 import os
 import re
 
+import pytest
+
 from mctsopt.cli import _SYNTHETIC_KEYS, dispatch
 from mctsopt.config import read_config
 
@@ -278,10 +280,8 @@ branching = 3
 depth = 3
 
 [engine_a]
-backup = standard
 
 [engine_b]
-backup = standard
 """)
         out = str(tmp_path / "om")
         assert run_cli("optimize", "--config", config, "--out", out) == 0
@@ -432,3 +432,69 @@ alpha = 0.3
         err = capsys.readouterr().err
         assert "bad.ini:2:" in err and "finite" in err
         assert not os.path.exists(os.path.join(out, "history.csv"))
+
+
+OPTIMIZE_MATCH_INI = """
+[optimize]
+kind = softmax
+m = 2
+lo = -6
+hi = -1
+n_init = 2
+n_iter = 3
+
+[match]
+games = 4
+sims_per_move = 20
+
+[pool]
+branching = 3
+depth = 3
+
+[engine_a]
+
+[engine_b]
+"""
+
+
+# Keys that a run would not read: (subcommand, config, descriptor d.ini).
+# The last file given ends with the rejected key; "{dir}" is the test's
+# directory.
+IGNORED_KEYS = {
+    "match-sets-budget": ("tournament", MATCH_INI + "simulations = 5000\n"),
+    "match-sets-seeds": ("tournament", MATCH_INI + "seed = 77\n"),
+    "noise-under-rollout": ("tournament", MATCH_INI + "noise_sd = 0.3\n"),
+    "noise-seed-under-rollout": (
+        "analyze", "[game]\nbranching = 3\ndepth = 3\n\n"
+                   "[search]\nsimulations = 10\nnoise_seed = 4\n"),
+    "tictactoe-extra-key": (
+        "analyze", "[search]\nsimulations = 10\n\n"
+                   "[game]\nkind = tictactoe\ndepth = 3\n"),
+    "optimizer-sets-backup": ("optimize", OPTIMIZE_MATCH_INI + "backup = erwa\n"),
+    "optimizer-sets-alpha": ("optimize", OPTIMIZE_MATCH_INI + "alpha = 0.5\n"),
+    "descriptor-in-descriptor": (
+        "analyze", "[game]\ndescriptor = {dir}/d.ini\n\n[search]\nsimulations = 10\n",
+        "[game]\nbranching = 3\ndepth = 3\ndescriptor = {dir}/d.ini\n"),
+}
+
+
+@pytest.mark.parametrize("case", IGNORED_KEYS)
+def test_key_the_run_would_not_read_is_rejected(case, tmp_path, capsys,
+                                                 monkeypatch):
+    played = []
+    monkeypatch.setattr("mctsopt.cli.winrate_objective",
+                        lambda *a, **kw: played.append(a) or 0.5)
+    subcommand, *texts = IGNORED_KEYS[case]
+    files = dict(zip(("c.ini", "d.ini"), texts))
+    for name, text in files.items():
+        write_config(tmp_path, name, text.replace("{dir}", str(tmp_path)))
+    anchor_file = list(files)[-1]
+    lines = files[anchor_file].splitlines()
+    key = lines[-1].partition("=")[0].strip()
+    out = str(tmp_path / "out")
+    assert run_cli(subcommand, "--config", str(tmp_path / "c.ini"),
+                   "--out", out) == 2
+    err = capsys.readouterr().err
+    assert f"{anchor_file}:{len(lines)}: unknown key {key!r}" in err
+    assert played == []
+    assert os.listdir(out) == []              # no history.csv, nor any output

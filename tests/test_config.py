@@ -56,13 +56,13 @@ class TestErrors:
         path = write(tmp_path, "[s]\ngood = 1\nbogus = 2\n")
         config = read_config(path)
         with pytest.raises(ConfigError, match=r":3: unknown key 'bogus'"):
-            config.check_keys("s", {"good"})
+            config.read("s", {"good": (int, 0)})
 
     def test_missing_required_key(self, tmp_path):
         path = write(tmp_path, "[s]\ngood = 1\n")
         config = read_config(path)
-        with pytest.raises(ConfigError, match="missing required key"):
-            config.check_keys("s", {"good", "need"}, required=("need",))
+        with pytest.raises(ConfigError, match="missing required key 'need'"):
+            config.read("s", {"good": (int, 0), "need": (int, REQUIRED)})
 
     def test_missing_section(self, tmp_path):
         path = write(tmp_path, "[s]\nk = 1\n")
@@ -73,16 +73,20 @@ class TestErrors:
         path = write(tmp_path, "[s]\nnum = abc\n")
         config = read_config(path)
         with pytest.raises(ConfigError, match=r":2:.*not a valid integer"):
-            config.get_int("s", "num")
-        with pytest.raises(ConfigError, match=r"not a valid number"):
-            config.get_float("s", "num")
+            config.read("s", {"num": (int, 0)})
+        with pytest.raises(ConfigError, match=r":2:.*not a valid number"):
+            config.read("s", {"num": (float, 0.0)})
+        assert config.read("s", {"num": (str, "x")}) == {"num": "abc"}
 
     def test_required_getter(self, tmp_path):
         path = write(tmp_path, "[s]\nk = 1\n")
         config = read_config(path)
-        assert config.get_int("s", "k", REQUIRED) == 1
-        with pytest.raises(ConfigError, match="missing required key"):
-            config.get_int("s", "absent", REQUIRED)
+        assert config.read("s", {"k": (int, REQUIRED), "d": (float, 2.5),
+                                 "n": (int, None)}) == \
+            {"k": 1, "d": 2.5, "n": None}
+        with pytest.raises(ConfigError, match=r":1: \[s\] is missing "
+                                              r"required key 'absent'"):
+            config.read("s", {"k": (int, REQUIRED), "absent": (int, REQUIRED)})
 
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(ConfigError):

@@ -5,7 +5,9 @@ Every backup x {a seeded trap tree (b = 3, d = 4), tic-tac-toe} x
 visit counts conserved and every visited Q in [0, 1]; the parent-recompute
 backups keep the root Q between the children's visit-weighted mean and the
 best child; the averaging backups give exactly the weighted mean of the
-returns fed to a node, summed in arrival order.
+returns fed to a node, summed in arrival order; and a match between two
+drawn backups on the trap pool gives the same result and game records at
+one worker and at two.
 """
 
 import pytest
@@ -15,7 +17,7 @@ from mctsopt.backup import (CoulomBackup, ErwaBackup, FeedbackBackup,
                             MonotoneBackup, SoftmaxBackup, StandardBackup)
 from mctsopt.games import empty_board
 from mctsopt.search import SearchConfig, SearchNode, run_search
-from mctsopt.tournament import SyntheticPool
+from mctsopt.tournament import MatchConfig, SyntheticPool, run_match
 from mctsopt.weights import FEEDBACK_PROFILES, build_weight_table, feedback_weight
 
 KINDS = ("standard", "erwa", "coulom", "feedback", "monotone", "softmax")
@@ -117,3 +119,18 @@ def test_averaging_q_is_weighted_mean_in_arrival_order(kind, data, horizon,
         acc_weight += w
         assert node.q == acc_value / acc_weight
     assert node.visits == len(returns)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data(), kinds=st.tuples(st.sampled_from(KINDS),
+                                       st.sampled_from(KINDS)),
+       games=st.sampled_from([2, 4, 6]), sims=st.integers(1, 20),
+       seed=st.integers(0, 2**32))
+def test_match_is_worker_count_invariant(data, kinds, games, sims, seed):
+    engine_a, engine_b = (
+        SearchConfig(simulations=sims, policy="PUCT",
+                     backup=data.draw(backups(kind, sims)))
+        for kind in kinds)
+    match = MatchConfig(pool=TRAP_POOL, engine_a=engine_a, engine_b=engine_b,
+                        games=games, sims_per_move=sims, seed=seed)
+    assert run_match(match, workers=1) == run_match(match, workers=2)

@@ -8,8 +8,7 @@ import pytest
 from mctsopt.backup import (CoulomBackup, ErwaBackup, FeedbackBackup,
                             MonotoneBackup, SoftmaxBackup, StandardBackup)
 from mctsopt.games import SyntheticTree, empty_board, minimax_value
-from mctsopt.search import (SearchConfig, SearchNode, puct_score, run_search,
-                            select_child, ucb1_score, backpropagate)
+from mctsopt.search import SearchConfig, SearchNode, run_search, select_child
 
 
 def make_parent(child_stats, is_max=True):
@@ -28,12 +27,28 @@ def make_parent(child_stats, is_max=True):
 
 class TestScores:
     def test_ucb1_hand_arithmetic(self):
-        # With N_parent = e the log term is exactly 1.
-        assert ucb1_score(0.5, 0, math.e, 1.0) == pytest.approx(1.5)
-        assert ucb1_score(0.9, 3, math.e, 1.0) == pytest.approx(1.4)
+        # N_parent = 4.  Q + c * sqrt(ln 4 / (N + 1)) is 0.9 + c * sqrt(ln 4) / 2
+        # for the child with 3 visits and 0.5 + c * sqrt(ln 4) for the
+        # unvisited one (counted as Q = 0.5), so the pick flips at
+        # c = 0.8 / sqrt(ln 4) = 0.679.
+        parent = make_parent([(0.9, 3, 0.5), (0.0, 0, 0.5)])
+        assert parent.visits == 4
+        for c, expected in ((0.66, 0), (0.70, 1)):
+            scores = [0.9 + c * math.sqrt(math.log(4)) / 2,
+                      0.5 + c * math.sqrt(math.log(4))]
+            assert scores.index(max(scores)) == expected
+            assert select_child(parent, "UCB1", c) == expected
 
     def test_puct_hand_arithmetic(self):
-        assert puct_score(0.4, 0.5, 3, 16, 2.0) == pytest.approx(0.4 + 2 * 0.5 * 4 / 4)
+        # N_parent = 16.  Q + c * prior * sqrt(16) / (N + 1) is 0.4 + c / 2
+        # for (Q 0.4, 3 visits) and 0.9 + 2c / 13 for (Q 0.9, 12 visits),
+        # both with prior 0.5, so the pick flips at c = 13 / 9 = 1.444.
+        parent = make_parent([(0.4, 3, 0.5), (0.9, 12, 0.5)])
+        assert parent.visits == 16
+        for c, expected in ((2.0, 0), (1.4, 1)):
+            scores = [0.4 + c * 0.5 * 4 / 4, 0.9 + c * 0.5 * 4 / 13]
+            assert scores.index(max(scores)) == expected
+            assert select_child(parent, "PUCT", c) == expected
 
     def test_ucb1_argmax_shift_invariance(self):
         stats = [(0.2, 3, 0.5), (0.6, 9, 0.5)]
@@ -158,13 +173,6 @@ class TestRunSearchBasics:
                               root_priors=(1.0, 2.0))
         with pytest.raises(ValueError):
             run_search(wrong.root, SearchConfig(simulations=5))
-
-    def test_backpropagate_validates(self):
-        node = SearchNode(is_max=True)
-        with pytest.raises(ValueError):
-            backpropagate([], 0.5, StandardBackup())
-        with pytest.raises(ValueError):
-            backpropagate([node], 1.5, StandardBackup())
 
 
 class TestStandardMeanReplay:
