@@ -11,8 +11,7 @@ self-play win-rate on desk-scale games with exact oracles.
 
 from .backup import (BackupStrategy, CoulomBackup, ErwaBackup, FeedbackBackup,
                      MonotoneBackup, SoftmaxBackup, StandardBackup,
-                     coulom_parent_update, softmax_parent_update,
-                     strategy_from_keys, strategy_to_keys)
+                     coulom_parent_update, softmax_parent_update)
 from .bayesopt import (Evaluation, OptimizeConfig, bayesopt_loop, propose_next,
                        random_search)
 from .games import (GameState, NodeLimitError, NoisyOracleEvaluator, PlayerRole,

@@ -254,76 +254,3 @@ def parse_knots(text: str) -> tuple[float, ...]:
         raise ValueError(f"knot tuple needs at least two entries: {text!r}")
     return tuple(float(p) for p in parts)
 
-
-# The config keys each backup kind reads besides "backup" itself.
-_KIND_KEYS = {
-    "standard": (),
-    "erwa": ("alpha",),
-    "coulom": ("coulom_x", "coulom_y"),
-    "feedback": ("feedback_profile", "final_ratio", "horizon"),
-    "monotone": ("knots", "horizon", "w0"),
-    "softmax": ("knots", "horizon"),
-}
-
-# Every config key strategy_to_keys writes and strategy_from_keys reads.
-BACKUP_KEYS = frozenset({"backup"}.union(*_KIND_KEYS.values()))
-
-
-class UnreadKeyError(ValueError):
-    """A backup key (``key``) that the chosen backup kind does not read."""
-
-    def __init__(self, key: str, kind: str):
-        super().__init__(f"backup {kind!r} does not read {key!r}")
-        self.key = key
-
-
-def strategy_to_keys(strategy: BackupStrategy) -> dict[str, str]:
-    """Flat key/value form of a strategy, suitable for config files."""
-    keys = {"backup": strategy.kind}
-    if isinstance(strategy, ErwaBackup):
-        keys["alpha"] = repr(strategy.alpha)
-    elif isinstance(strategy, CoulomBackup):
-        keys["coulom_x"] = repr(strategy.x)
-        keys["coulom_y"] = str(strategy.y)
-    elif isinstance(strategy, FeedbackBackup):
-        keys["feedback_profile"] = strategy.profile
-        keys["final_ratio"] = repr(strategy.final_ratio)
-        keys["horizon"] = str(strategy.horizon)
-    elif isinstance(strategy, (MonotoneBackup, SoftmaxBackup)):
-        keys["knots"] = format_knots(strategy.profile.knots)
-        keys["horizon"] = str(strategy.profile.horizon)
-        if isinstance(strategy, MonotoneBackup) and strategy.profile.w0 != 1.0:
-            keys["w0"] = repr(strategy.profile.w0)
-    elif not isinstance(strategy, StandardBackup):
-        raise TypeError(f"cannot serialize {type(strategy).__name__}")
-    return keys
-
-
-def strategy_from_keys(keys: dict[str, str]) -> BackupStrategy:
-    """Inverse of strategy_to_keys; non-backup keys (the rest of an engine
-    section) are ignored.  Raises on an unknown kind, a missing key, or a
-    backup key the kind does not read (UnreadKeyError)."""
-    kind = keys.get("backup", "standard").lower()
-    if kind not in _KIND_KEYS:
-        raise ValueError(f"unknown backup kind {kind!r}")
-    reads = _KIND_KEYS[kind]
-    for key in keys:
-        if key in BACKUP_KEYS and key != "backup" and key not in reads:
-            raise UnreadKeyError(key, kind)
-    if kind == "standard":
-        return StandardBackup()
-    if kind == "erwa":
-        return ErwaBackup(alpha=float(keys["alpha"]))
-    if kind == "coulom":
-        return CoulomBackup(x=float(keys["coulom_x"]), y=int(keys["coulom_y"]))
-    if kind == "feedback":
-        return FeedbackBackup(profile=keys["feedback_profile"],
-                              final_ratio=float(keys.get("final_ratio", "64")),
-                              horizon=int(keys["horizon"]))
-    if kind == "monotone":
-        profile = build_weight_table(parse_knots(keys["knots"]),
-                                     int(keys["horizon"]),
-                                     w0=float(keys.get("w0", "1.0")))
-        return MonotoneBackup(profile)
-    return SoftmaxBackup.from_knots(parse_knots(keys["knots"]),
-                                    int(keys["horizon"]))

@@ -13,7 +13,10 @@ and package version, sufficient to reproduce the run bit-for-bit.  Each
 section is read through one table of the keys the run reads, with their
 types and defaults (Config.read), so any other key is a line-anchored
 error: a match sets its engines' budget and seeds per move, and optimize
-sets both backups, so those engine sections do not take those keys.
+sets both backups, so those engine sections do not take those keys.  In
+an engine section the evaluator and backup kinds choose their keys: each
+kind is declared once (_KINDS) with the keys it reads, and the section is
+read in one call over the engine's, its role's and its kinds' keys.
 Exit status 0 on success, 2 on config/validation errors.
 """
 
@@ -28,8 +31,8 @@ import sys
 import time
 
 from . import __version__
-from .backup import (BACKUP_KEYS, UnreadKeyError, format_knots, parse_knots,
-                     strategy_from_keys)
+from .backup import (CoulomBackup, ErwaBackup, FeedbackBackup, MonotoneBackup,
+                     SoftmaxBackup, StandardBackup, format_knots, parse_knots)
 from .bayesopt import OptimizeConfig, bayesopt_loop
 from .config import (Config, ConfigError, REQUIRED, format_sections,
                      read_config, write_atomic)
@@ -53,18 +56,51 @@ _SYNTHETIC_KEYS = {key: (convert, getattr(SyntheticTreeSpec, key))
     ("seed", int))}
 _GAME_KEYS = {"kind": (str, SyntheticTreeSpec.kind), "trap_actions": (str, None),
               **_SYNTHETIC_KEYS}
-# Every engine section reads these; each role adds its own keys (below),
-# and evaluator = noisy_oracle adds _NOISE_KEYS.
+# The kinds an engine section chooses with its evaluator and backup keys
+# (names are case-insensitive): kind -> (builder, which takes the values
+# read from the section, and the table of the keys that kind reads).  The
+# builders look the classes up when called, so a test or the benchmark's
+# tracing can swap them.
+_KINDS = {
+    "evaluator": {
+        "rollout": (lambda keys: RandomRolloutEvaluator(), {}),
+        "noisy_oracle": (
+            lambda keys: NoisyOracleEvaluator(keys["noise_sd"], keys["noise_seed"]),
+            {"noise_sd": (float, 0.0), "noise_seed": (int, 0)}),
+    },
+    "backup": {
+        "standard": (lambda keys: StandardBackup(), {}),
+        "erwa": (lambda keys: ErwaBackup(keys["alpha"]),
+                 {"alpha": (float, REQUIRED)}),
+        "coulom": (lambda keys: CoulomBackup(keys["coulom_x"], keys["coulom_y"]),
+                   {"coulom_x": (float, REQUIRED), "coulom_y": (int, REQUIRED)}),
+        "feedback": (
+            lambda keys: FeedbackBackup(keys["feedback_profile"],
+                                        keys["final_ratio"], keys["horizon"]),
+            {"feedback_profile": (str, REQUIRED), "final_ratio": (float, 64.0),
+             "horizon": (int, REQUIRED)}),
+        "monotone": (
+            lambda keys: MonotoneBackup(build_weight_table(
+                parse_knots(keys["knots"]), keys["horizon"], keys["w0"])),
+            {"knots": (str, REQUIRED), "horizon": (int, REQUIRED),
+             "w0": (float, 1.0)}),
+        "softmax": (
+            lambda keys: SoftmaxBackup.from_knots(parse_knots(keys["knots"]),
+                                                  keys["horizon"]),
+            {"knots": (str, REQUIRED), "horizon": (int, REQUIRED)}),
+    },
+}
+# Every engine section reads these and the keys of its evaluator kind;
+# each role adds its own keys (below) and, if they hold backup, the keys
+# of its backup kind.  A match sets the budget and the seeds per move, so
+# only [search] reads them; under optimize the optimiser sets both
+# backups, so only analyze and tournament read backup.
 _ENGINE_KEYS = {"policy": (str, SearchConfig.policy),
                 "exploration": (float, SearchConfig.exploration),
                 "evaluator": (str, "rollout")}
-_NOISE_KEYS = {"noise_sd": (float, 0.0), "noise_seed": (int, 0)}
-# A match sets the budget and the seeds per move, so only [search] reads
-# them; under optimize the optimiser sets both backups, so only analyze and
-# tournament read the backup keys.
-_BACKUP_TABLE = {key: (str, None) for key in sorted(BACKUP_KEYS)}
+_BACKUP_KEY = {"backup": (str, "standard")}
 _SEARCH_KEYS = {"simulations": (int, SearchConfig.simulations),
-                "seed": (int, SearchConfig.seed), **_BACKUP_TABLE}
+                "seed": (int, SearchConfig.seed), **_BACKUP_KEY}
 _MATCH_KEYS = {"games": (int, REQUIRED), "sims_per_move": (int, REQUIRED),
                "seed": (int, MatchConfig.seed)}
 # The keys from noise_var on are OptimizeConfig's fields.  horizon and
@@ -120,32 +156,34 @@ def _game_to_state(game: dict):
     return _game_to_pool(game).make(game.get("seed", SyntheticTreeSpec.seed))
 
 
+def _choose(config: Config, section: str, key: str, default: str):
+    """The (builder, key table) of the kind that ``key`` names in a section."""
+    name = config.section(section).get(key, default)
+    try:
+        return _KINDS[key][name.lower()]
+    except KeyError:
+        raise config.error(section, key, f"unknown {key} {name!r}") from None
+
+
 def _load_engine(config: Config, section: str, role_keys: dict) -> SearchConfig:
-    """The engine of one section, read through _ENGINE_KEYS plus the keys
-    its role reads (``role_keys``)."""
+    """The engine of one section, read in one go through _ENGINE_KEYS, the
+    keys its role reads (``role_keys``) and the keys of the kinds it
+    chooses; a kind's build error is anchored at the key that chose it."""
     table = {**_ENGINE_KEYS, **role_keys}
-    if config.section(section).get("evaluator") == "noisy_oracle":
-        table.update(_NOISE_KEYS)
+    fields = [key for key in table if key not in _KINDS]
+    chosen = {key: _choose(config, section, key, table[key][1])
+              for key in _KINDS if key in table}
+    for _, kind_keys in chosen.values():
+        table.update(kind_keys)
     keys = config.read(section, table)
+    engine = {key: keys[key] for key in fields}
+    for key, (build, _) in chosen.items():
+        try:
+            engine[key] = build(keys)
+        except ValueError as exc:
+            raise config.error(section, key, f"bad {key} spec: {exc}") from exc
     try:
-        backup = strategy_from_keys(config.section(section))
-    except UnreadKeyError as exc:
-        raise config.error(section, exc.key, f"bad backup spec: {exc}") from exc
-    except (KeyError, ValueError) as exc:
-        raise config.error(section, "backup", f"bad backup spec: {exc}") from exc
-    evaluator_kind = keys.pop("evaluator")
-    if evaluator_kind == "rollout":
-        evaluator = RandomRolloutEvaluator()
-    elif evaluator_kind == "noisy_oracle":
-        evaluator = NoisyOracleEvaluator(noise_sd=keys.pop("noise_sd"),
-                                         seed=keys.pop("noise_seed"))
-    else:
-        raise config.error(section, "evaluator",
-                           f"unknown evaluator {evaluator_kind!r}")
-    try:
-        return SearchConfig(backup=backup, evaluator=evaluator,
-                            **{k: v for k, v in keys.items()
-                               if k not in BACKUP_KEYS})
+        return SearchConfig(**engine)
     except ValueError as exc:
         raise config.error(section, None, str(exc)) from exc
 
@@ -244,7 +282,7 @@ def _load_match(config: Config, seed: int | None,
 
 
 def _cmd_tournament(config: Config, args) -> int:
-    result, records = run_match(_load_match(config, args.seed, _BACKUP_TABLE),
+    result, records = run_match(_load_match(config, args.seed, _BACKUP_KEY),
                                 workers=args.workers)
     payload = {
         "games": result.games,

@@ -63,6 +63,8 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.simulations < 1:
+            raise ValueError("simulation budget must be positive")
         if self.policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}")
         if self.exploration < 0:
@@ -149,8 +151,6 @@ def run_search(root: GameState, config: SearchConfig) -> SearchResult:
     """Run ``config.simulations`` search iterations from ``root``."""
     if root.terminal:
         raise ValueError("cannot search a terminal position")
-    if config.simulations < 1:
-        raise ValueError("simulation budget must be positive")
 
     strategy = config.backup
     evaluator = config.evaluator

@@ -1,14 +1,17 @@
 """Backup strategy updates against hand arithmetic and recursion oracles."""
 
+import json
+
 import numpy as np
 import pytest
 
 from mctsopt.backup import (CoulomBackup, ErwaBackup, FeedbackBackup,
                             MonotoneBackup, SoftmaxBackup, StandardBackup,
                             coulom_parent_update, parse_knots, format_knots,
-                            softmax_parent_update, strategy_from_keys,
-                            strategy_to_keys, UnreadKeyError)
-from mctsopt.search import SearchNode
+                            softmax_parent_update)
+from mctsopt.cli import dispatch
+from mctsopt.games import SyntheticTreeSpec
+from mctsopt.search import SearchConfig, SearchNode, run_search
 from mctsopt.weights import WeightProfile, build_weight_table, erwa_knots
 
 
@@ -304,19 +307,49 @@ class TestPathSemantics:
 
 
 class TestSerialization:
+    """A backup's config form: the keys of an engine section, as read by
+    the command line."""
+
+    SEARCH = "[game]\nbranching = 3\ndepth = 4\n\n[search]\nsimulations = 200\nseed = 3\n"
+
+    def analyze(self, tmp_path, keys):
+        config = tmp_path / "c.ini"
+        config.write_text(self.SEARCH + keys)
+        out = tmp_path / "out"
+        status = dispatch(["analyze", "--config", str(config), "--out", str(out)])
+        return status, out / "analysis.json"
+
+    # Each kind once, the defaults of final_ratio and w0, the default
+    # kind, and kind names in any case.
     @pytest.mark.parametrize("strategy", [
-        StandardBackup(),
-        ErwaBackup(0.25),
-        CoulomBackup(4.0, 32),
-        FeedbackBackup("GBX", 8.0, 500),
-        MonotoneBackup.from_knots((-10.0, -10.0, -4.0, -4.0, -4.0, -10.0), 5000),
-        SoftmaxBackup.from_knots((-4.0, -10.0, -7.9, -10.0, -10.0, -7.8), 5000),
+        (StandardBackup(), ""),
+        (ErwaBackup(0.25), "backup = erwa\nalpha = 0.25\n"),
+        (CoulomBackup(4.0, 32), "backup = Coulom\ncoulom_x = 4\ncoulom_y = 32\n"),
+        (FeedbackBackup("GBX", 64.0, 40),
+         "backup = feedback\nfeedback_profile = GBX\nhorizon = 40\n"),
+        (MonotoneBackup.from_knots((-2.0, -1.0), 200),
+         "backup = monotone\nknots = (-2.0, -1.0)\nhorizon = 200\n"),
+        (SoftmaxBackup.from_knots((-3.0, -1.0), 200),
+         "backup = SOFTMAX\nknots = (-3, -1)\nhorizon = 200\n"),
+        (FeedbackBackup("GAY", 8.0, 40), "backup = feedback\nfeedback_profile = GAY\n"
+                                         "final_ratio = 8\nhorizon = 40\n"),
+        (MonotoneBackup(build_weight_table((-2.0, -1.0), 200, w0=2.0)),
+         "backup = monotone\nknots = (-2.0, -1.0)\nhorizon = 200\nw0 = 2\n"),
     ])
-    def test_round_trip(self, strategy):
-        keys = strategy_to_keys(strategy)
-        rebuilt = strategy_from_keys(keys)
-        assert strategy_to_keys(rebuilt) == keys
-        assert type(rebuilt) is type(strategy)
+    def test_round_trip(self, strategy, tmp_path):
+        strategy, keys = strategy
+        status, analysis = self.analyze(tmp_path, keys)
+        assert status == 0
+        result = run_search(SyntheticTreeSpec(branching=3, depth=4).make(0),
+                            SearchConfig(simulations=200, seed=3, backup=strategy))
+        assert json.loads(analysis.read_text()) == {
+            "best_action": result.best_action,
+            "root_q": result.root_q,
+            "root_visits": result.root.visits,
+            "principal_variation": result.principal_variation,
+            "visit_distribution": {str(a): n for a, n
+                                   in result.visit_distribution.items()},
+        }
 
     def test_knot_text_round_trip(self):
         knots = (-10.0, -10.0, -4.0, -4.0, -4.0, -10.0)
@@ -325,17 +358,8 @@ class TestSerialization:
         with pytest.raises(ValueError):
             parse_knots("(-1)")
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            strategy_from_keys({"backup": "bogus"})
-
-    def test_key_of_another_kind_rejected(self):
-        softmax = {"backup": "softmax", "knots": "(-3.0, -2.0)",
-                   "horizon": "100"}
-        assert strategy_from_keys({**softmax, "policy": "PUCT"}).kind == "softmax"
-        for key, value in (("w0", "5"), ("alpha", "0.3"), ("coulom_x", "2")):
-            with pytest.raises(UnreadKeyError) as info:
-                strategy_from_keys({**softmax, key: value})
-            assert info.value.key == key
-        with pytest.raises(UnreadKeyError):
-            strategy_from_keys({"horizon": "100"})      # standard by default
+    def test_unknown_kind_rejected(self, tmp_path, capsys):
+        status, analysis = self.analyze(tmp_path, "backup = bogus\n")
+        assert status == 2
+        assert "c.ini:8: unknown backup 'bogus'" in capsys.readouterr().err
+        assert not analysis.exists()

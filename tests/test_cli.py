@@ -7,8 +7,14 @@ import re
 
 import pytest
 
-from mctsopt.cli import _SYNTHETIC_KEYS, dispatch
-from mctsopt.config import read_config
+from mctsopt.cli import _KINDS, _SYNTHETIC_KEYS, dispatch
+from mctsopt.config import REQUIRED, read_config
+
+TYPE_NAMES = {str: "string", int: "integer", float: "number"}
+# A value each backup key accepts.
+VALID_BACKUP_VALUES = {"alpha": "0.5", "coulom_x": "2", "coulom_y": "4",
+                       "feedback_profile": "GAX", "final_ratio": "8",
+                       "horizon": "8", "knots": "(-2, -1)", "w0": "1.5"}
 
 
 def run_cli(*argv):
@@ -397,24 +403,53 @@ simulations = 10
         err = capsys.readouterr().err
         assert "bad.ini:2:" in err and "trap_prior" in err
 
-    def test_backup_key_of_another_kind(self, tmp_path, capsys):
-        config = write_config(tmp_path, "bad.ini", """
-[game]
-branching = 3
-depth = 3
+    SEARCH = "[game]\nbranching = 3\ndepth = 3\n\n[search]\nsimulations = 10\n"
 
-[search]
-simulations = 10
-backup = softmax
-knots = (-3.0, -2.0)
-horizon = 10
-w0 = 5
-alpha = 0.3
-""")
-        assert run_cli("analyze", "--config", config,
-                       "--out", str(tmp_path / "x")) == 2
-        err = capsys.readouterr().err
-        assert "bad.ini:11:" in err and "'w0'" in err
+    def analyze_error(self, tmp_path, capsys, text):
+        config = write_config(tmp_path, "bad.ini", text)
+        out = str(tmp_path / "x")
+        assert run_cli("analyze", "--config", config, "--out", out) == 2
+        assert os.listdir(out) == []
+        return capsys.readouterr().err
+
+    def test_zero_simulations_anchored_at_section(self, tmp_path, capsys):
+        err = self.analyze_error(tmp_path, capsys, self.SEARCH.replace(
+            "simulations = 10", "simulations = 0"))
+        assert "bad.ini:5: simulation budget must be positive" in err
+
+    def test_negative_noise_anchored_at_evaluator(self, tmp_path, capsys):
+        err = self.analyze_error(
+            tmp_path, capsys,
+            self.SEARCH + "evaluator = noisy_oracle\nnoise_sd = -1\n")
+        assert "bad.ini:7: bad evaluator spec: noise_sd must be non-negative" in err
+
+    @pytest.mark.parametrize("kind", [kind for kind, (_, keys)
+                                      in _KINDS["backup"].items() if keys])
+    def test_backup_key_errors_are_anchored(self, kind, tmp_path, capsys):
+        """Per key of each kind: a value that does not convert is anchored
+        at its key, a missing required key at the section."""
+        table = _KINDS["backup"][kind][1]
+        for key, (convert, default) in table.items():
+            keys = {k: VALID_BACKUP_VALUES[k] for k in table if k != key}
+            if convert is not str:
+                text = self.SEARCH + f"backup = {kind}\n" + "".join(
+                    f"{k} = {v}\n" for k, v in {**keys, key: "abc"}.items())
+                err = self.analyze_error(tmp_path, capsys, text)
+                line = text.splitlines().index(f"{key} = abc") + 1
+                assert (f"bad.ini:{line}: {key} = 'abc' is not a valid "
+                        f"{TYPE_NAMES[convert]}") in err
+            if default is REQUIRED:
+                text = self.SEARCH + f"backup = {kind}\n" + "".join(
+                    f"{k} = {v}\n" for k, v in keys.items())
+                err = self.analyze_error(tmp_path, capsys, text)
+                assert f"bad.ini:5: [search] is missing required key {key!r}" in err
+
+    def test_backup_value_rejected_at_backup_line(self, tmp_path, capsys):
+        for keys in ("backup = erwa\nalpha = 2\n",
+                     "backup = feedback\nfeedback_profile = GXX\nhorizon = 8\n",
+                     "backup = softmax\nknots = (-1)\nhorizon = 8\n"):
+            err = self.analyze_error(tmp_path, capsys, self.SEARCH + keys)
+            assert "bad.ini:7: bad backup spec: " in err
 
     def test_stub_noise_sd_is_unknown(self, tmp_path, capsys):
         config = write_config(tmp_path, "bad.ini",
@@ -470,6 +505,12 @@ IGNORED_KEYS = {
     "tictactoe-extra-key": (
         "analyze", "[search]\nsimulations = 10\n\n"
                    "[game]\nkind = tictactoe\ndepth = 3\n"),
+    "softmax-reads-no-w0": (
+        "analyze", "[game]\nbranching = 3\ndepth = 3\n\n[search]\n"
+                   "simulations = 10\nbackup = softmax\nknots = (-3.0, -2.0)\n"
+                   "horizon = 10\nw0 = 5\n"),
+    "standard-reads-no-horizon": (
+        "tournament", MATCH_INI.replace("backup = standard\n", "") + "horizon = 100\n"),
     "optimizer-sets-backup": ("optimize", OPTIMIZE_MATCH_INI + "backup = erwa\n"),
     "optimizer-sets-alpha": ("optimize", OPTIMIZE_MATCH_INI + "alpha = 0.5\n"),
     "descriptor-in-descriptor": (
@@ -498,3 +539,27 @@ def test_key_the_run_would_not_read_is_rejected(case, tmp_path, capsys,
     assert f"{anchor_file}:{len(lines)}: unknown key {key!r}" in err
     assert played == []
     assert os.listdir(out) == []              # no history.csv, nor any output
+
+
+def _describe(table):
+    return [f"`{key}` ({TYPE_NAMES[convert]}, "
+            + ("required" if default is REQUIRED else f"default {default!r}") + ")"
+            for key, (convert, default) in table.items()]
+
+
+def test_readme_names_the_declared_keys():
+    """README's backup table and evaluator sentences name exactly the keys,
+    types and defaults that _KINDS declares."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    readme = open(path, encoding="utf-8").read()
+    table = readme.split("| `backup`   | keys it reads |\n")[1].split("\n\n")[0]
+    rows = dict(re.findall(r"^\| `(\w+)` +\| (.+?) \|$", table, re.M))
+    assert rows == {kind: ", ".join(_describe(keys)) or "none"
+                    for kind, (_, keys) in _KINDS["backup"].items()}
+    prose = " ".join(readme.split())
+    for kind, (_, keys) in _KINDS["evaluator"].items():
+        if keys:
+            assert (f"With `evaluator = {kind}` an engine section also reads "
+                    + " and ".join(_describe(keys))) in prose
+        else:
+            assert f"`evaluator = {kind}` reads no more keys" in prose
