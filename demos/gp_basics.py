@@ -1,4 +1,4 @@
-"""Gaussian-process regression and acquisition values in one dimension.
+"""Gaussian-process regression and expected improvement in one dimension.
 
 Fits a GP to five noisy observations of a smooth function and prints the
 posterior and expected improvement on a grid - the same machinery the
@@ -9,7 +9,7 @@ knot tuner uses in six dimensions.  Run:
 
 import numpy as np
 
-from mctsopt import Matern52Kernel, expected_improvement, fit, ucb_acquisition
+from mctsopt import Matern52Kernel, expected_improvement, fit
 
 rng = np.random.default_rng(3)
 truth = lambda x: np.sin(3.0 * x) * (1 - x) + x
@@ -24,14 +24,13 @@ print("observations:")
 for x, y in zip(X.ravel(), t):
     print(f"  f({x:.2f}) ~ {y:+.4f}")
 print(f"\nincumbent best: {f_best:+.4f}")
-print(f"{'x':>6} {'truth':>8} {'mean':>8} {'sd':>8} {'EI':>9} {'UCB':>8}")
+print(f"{'x':>6} {'truth':>8} {'mean':>8} {'sd':>8} {'EI':>9}")
 for x in np.linspace(0.0, 1.0, 21):
     mu, var = model.posterior([x])
     sd = np.sqrt(var)
     ei = expected_improvement(mu, sd, f_best)
-    ucb = ucb_acquisition(mu, sd, kappa=2.0)
     marker = " <- training point" if any(abs(x - xi) < 1e-9 for xi in X.ravel()) else ""
-    print(f"{x:6.2f} {truth(x):+8.4f} {mu:+8.4f} {sd:8.4f} {ei:9.5f} {ucb:+8.4f}{marker}")
+    print(f"{x:6.2f} {truth(x):+8.4f} {mu:+8.4f} {sd:8.4f} {ei:9.5f}{marker}")
 
 print("\nnotes: sd collapses at the training points, EI peaks where the")
 print("posterior is both promising and uncertain, and far from the data")

@@ -203,7 +203,7 @@ class CoulomBackup(_ParentRecomputeBackup):
     kind = "coulom"
 
     def __init__(self, x: float, y: int):
-        if x <= 0:
+        if not x > 0:
             raise ValueError("x must be positive")
         if y < 1:
             raise ValueError("y must be a positive integer")

@@ -1,12 +1,13 @@
 """Bayesian optimization loop over a box of knot parameters.
 
-Quasi-random initialization, GP surrogate refit every round, acquisition
-maximization by seeded candidate search (scrambled Sobol over the whole
-box plus Gaussian perturbations of the incumbent at several scales - a
-global-only candidate set cannot resolve optima much finer than the box
-diameter divided by candidate_count**(1/d)).  Batches larger than one use
-constant-liar imputation: each proposal is written into the surrogate at
-its posterior mean before the next proposal is chosen.
+Quasi-random initialization, then one proposal per round: the GP
+surrogate is refit on every result so far and the next point is the
+expected-improvement argmax over a seeded candidate set (scrambled Sobol
+over the whole box plus Gaussian perturbations of the incumbent at
+several scales - a global-only candidate set cannot resolve optima much
+finer than the box diameter divided by the candidate count**(1/d)).  The
+candidate draws are keyed by the seed and the number of results, and
+every result in the surrogate is a real evaluation.
 """
 
 from __future__ import annotations
@@ -16,11 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import qmc
 
-from .gp import GPModel, Matern52Kernel, expected_improvement, fit, ucb_acquisition
+from .gp import GPModel, Matern52Kernel, expected_improvement, fit
 from .seeds import derive
 
-ACQUISITIONS = ("EI", "UCB")
-
+# Candidates per proposal: half Sobol points over the box, the rest split
+# evenly over the incumbent perturbation scales.
+_CANDIDATE_COUNT = 4096
 # Incumbent perturbation scales as fractions of each box width.
 _LOCAL_SCALES = (0.1, 0.02, 0.004)
 
@@ -34,10 +36,6 @@ class OptimizeConfig:
     bounds: tuple                      # ((lo, hi), ...) per dimension
     n_init: int = 8
     n_iter: int = 40
-    batch: int = 1
-    acquisition: str = "EI"
-    kappa: float = 2.0                 # UCB exploration weight
-    candidate_count: int = 4096
     noise_var: float = 1e-4
     seed: int = 0
 
@@ -50,13 +48,7 @@ class OptimizeConfig:
             raise ValueError("n_init must be at least 2")
         if self.n_iter < self.n_init:
             raise ValueError("n_iter must cover the initial design")
-        if self.batch < 1:
-            raise ValueError("batch must be positive")
-        if self.acquisition not in ACQUISITIONS:
-            raise ValueError(f"acquisition must be one of {ACQUISITIONS}")
-        if self.candidate_count < 1:
-            raise ValueError("candidate_count must be positive")
-        if self.noise_var < 0:
+        if not self.noise_var >= 0:
             raise ValueError("noise_var must be non-negative")
 
     @property
@@ -103,15 +95,6 @@ def fit_surrogate(X, t, config: OptimizeConfig) -> GPModel:
     return fit(X, t, kernel)
 
 
-def _acquisition_values(model: GPModel, pts: np.ndarray,
-                        config: OptimizeConfig) -> np.ndarray:
-    mu, var = model.posterior_batch(pts)
-    sigma = np.sqrt(var)
-    if config.acquisition == "EI":
-        return expected_improvement(mu, sigma, float(np.max(model.t)))
-    return ucb_acquisition(mu, sigma, config.kappa)
-
-
 def _fold_into_box(pts: np.ndarray, lows: np.ndarray,
                    highs: np.ndarray) -> np.ndarray:
     """Reflect points at the box walls (no probability atom on the bound,
@@ -123,10 +106,8 @@ def _fold_into_box(pts: np.ndarray, lows: np.ndarray,
 
 def _candidates(model: GPModel, config: OptimizeConfig) -> np.ndarray:
     """Global Sobol candidates plus local perturbations of the incumbent."""
-    total = config.candidate_count
-    n_local_groups = len(_LOCAL_SCALES)
-    n_global = max(1, total // 2)
-    per_scale = max(1, (total - n_global) // n_local_groups)
+    n_global = _CANDIDATE_COUNT // 2
+    per_scale = (_CANDIDATE_COUNT - n_global) // len(_LOCAL_SCALES)
     pts = [_sobol(config, n_global, "candidates", model.n)]
     incumbent = model.X[int(np.argmax(model.t))]
     widths = config.highs - config.lows
@@ -139,33 +120,16 @@ def _candidates(model: GPModel, config: OptimizeConfig) -> np.ndarray:
     return np.vstack(pts)
 
 
-def propose_next(model: GPModel, config: OptimizeConfig, batch: int | None = None,
+def propose_next(model: GPModel, config: OptimizeConfig,
                  candidates=None) -> np.ndarray:
-    """Acquisition argmax over a candidate set; returns (batch, dim).
-
-    With batch > 1, each accepted point is imputed into the surrogate at
-    its posterior mean (constant liar) before scoring the next, which
-    keeps the batch spread out.
-    """
-    batch = config.batch if batch is None else batch
-    points = []
-    for _ in range(batch):
-        cands = _candidates(model, config) if candidates is None \
-            else np.atleast_2d(np.asarray(candidates, dtype=float))
-        scores = _acquisition_values(model, cands, config)
-        if points:
-            taken = np.array(points)
-            dup = (cands[:, None, :] == taken[None, :, :]).all(axis=2).any(axis=1)
-            if not dup.all():
-                scores = np.where(dup, -np.inf, scores)
-        choice = cands[int(np.argmax(scores))]
-        points.append(choice)
-        if len(points) < batch:
-            lie, _ = model.posterior(choice)
-            X = np.vstack([model.X, choice])
-            t = np.append(model.t, lie)
-            model = fit_surrogate(X, t, config)
-    return np.array(points)
+    """The candidate of highest expected improvement over the best
+    observed value; ``candidates`` (rows of points) replaces the seeded
+    candidate set."""
+    cands = _candidates(model, config) if candidates is None \
+        else np.atleast_2d(np.asarray(candidates, dtype=float))
+    mu, var = model.posterior_batch(cands)
+    ei = expected_improvement(mu, np.sqrt(var), float(np.max(model.t)))
+    return cands[int(np.argmax(ei))]
 
 
 def _record(history: list, objective, point, callback=None) -> None:
@@ -189,9 +153,10 @@ def bayesopt_loop(objective, config: OptimizeConfig,
                   callback=None) -> tuple[np.ndarray, list[Evaluation]]:
     """Maximize a noisy black-box objective over the configured box.
 
-    Runs n_init quasi-random evaluations and then propose/evaluate rounds
-    until n_iter total evaluations.  Non-finite objective values are
-    recorded as failures and penalized with the worst value seen so far.
+    Runs n_init quasi-random evaluations and then rounds of fit, propose
+    one point and evaluate it until n_iter total evaluations.  Non-finite
+    objective values are recorded as failures and penalized with the worst
+    value seen so far.
     Returns the best observed point and the full evaluation history.
     """
     history: list[Evaluation] = []
@@ -202,9 +167,7 @@ def bayesopt_loop(objective, config: OptimizeConfig,
         X = np.array([e.point for e in history])
         t = np.array([e.value for e in history])
         model = fit_surrogate(X, t, config)
-        todo = min(config.batch, config.n_iter - len(history))
-        for point in propose_next(model, config, batch=todo):
-            _record(history, objective, point, callback)
+        _record(history, objective, propose_next(model, config), callback)
 
     return _best_point(history), history
 

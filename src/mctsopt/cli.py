@@ -111,9 +111,7 @@ _OPTIMIZE_KEYS = {"kind": (str, "softmax"), "m": (int, 6), "lo": (float, -10.0),
                   "horizon": (int, None), "noise_var": (float, None),
                   **{key: (convert, getattr(OptimizeConfig, key))
                      for key, convert in (
-                         ("n_init", int), ("n_iter", int), ("batch", int),
-                         ("acquisition", str), ("kappa", float),
-                         ("candidate_count", int), ("seed", int))}}
+                         ("n_init", int), ("n_iter", int), ("seed", int))}}
 _PROFILE_KEYS = {"knots": (str, REQUIRED), "horizon": (int, REQUIRED),
                  "w0": (float, 1.0)}
 
@@ -334,6 +332,13 @@ def _cmd_optimize(config: Config, args) -> int:
     if kind not in ("softmax", "monotone"):
         raise config.error("optimize", "kind",
                            f"kind must be softmax or monotone, got {kind!r}")
+    if m < 2:
+        raise config.error("optimize", "m",
+                           f"m must be at least 2 (a profile needs two "
+                           f"knots), got {m}")
+    if horizon is not None and horizon < 1:
+        raise config.error("optimize", "horizon",
+                           f"horizon must be >= 1, got {horizon}")
     if args.seed is not None:
         settings["seed"] = args.seed
     seed = settings["seed"]

@@ -86,7 +86,7 @@ class NoisyOracleEvaluator:
     kind = "noisy_oracle"
 
     def __init__(self, noise_sd: float = 0.0, seed: int = 0):
-        if noise_sd < 0:
+        if not noise_sd >= 0:
             raise ValueError("noise_sd must be non-negative")
         self.noise_sd = float(noise_sd)
         self.seed = int(seed)

@@ -1,7 +1,7 @@
 """Gaussian-process regression with a Matern 5/2 kernel.
 
 Exact posterior via Cholesky factorization with escalating jitter, plus
-the two acquisition functions used by the optimizer.  Everything is
+the expected-improvement acquisition the optimizer maximizes.  Everything is
 immutable after fitting; fit and posterior are pure functions, so models
 can be shared freely across threads.
 """
@@ -43,7 +43,7 @@ class Matern52Kernel:
             raise ValueError("amplitude must be positive")
         if any(not l > 0 for l in self.lengthscales):
             raise ValueError("lengthscales must be positive")
-        if self.noise_var < 0:
+        if not self.noise_var >= 0:
             raise ValueError("noise variance must be non-negative")
 
     def _scaled(self, X: np.ndarray) -> np.ndarray:
@@ -157,11 +157,3 @@ def expected_improvement(mu, sigma, f_best):
     phi = _INV_SQRT_2PI * np.exp(-0.5 * g * g)
     ei = np.where(sigma > 0, sigma * (g * ndtr(g) + phi), np.maximum(improve, 0.0))
     return float(ei) if ei.ndim == 0 else ei
-
-
-def ucb_acquisition(mu, sigma, kappa: float):
-    """Optimistic score mu + kappa * sigma."""
-    if kappa < 0:
-        raise ValueError("kappa must be non-negative")
-    result = np.asarray(mu, dtype=float) + kappa * np.asarray(sigma, dtype=float)
-    return float(result) if result.ndim == 0 else result

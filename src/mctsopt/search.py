@@ -1,14 +1,15 @@
 """Four-phase Monte-Carlo tree search with pluggable backups.
 
 Each iteration selects a path with UCB1 or PUCT, expands the first
-unexpanded node it reaches (adding all children at once, their states
-materialized lazily, their priors the state's normalized action_priors or
-uniform ones), evaluates the state of the child the tree policy picks
-there, and hands the return to the backup strategy.  The updated path
-ends at the expanded node itself: a node's first visit is its own
-expansion pass, so after any search every internal node satisfies
-N_parent = 1 + sum of child visits, and the root children's visit counts
-sum to simulations - 1.
+unexpanded node it reaches (adding all children at once, their priors the
+state's normalized action_priors or uniform ones), evaluates the state of
+the child the tree policy picks there, and hands the return to the backup
+strategy.  Nodes hold statistics only, no game state: each descent
+rebuilds the states along its path by applying the chosen actions to the
+root with state.apply.  The updated path ends at the expanded node
+itself: a node's first visit is its own expansion pass, so after any
+search every internal node satisfies N_parent = 1 + sum of child visits,
+and the root children's visit counts sum to simulations - 1.
 
 A search owns its tree exclusively and runs single-threaded; parallelism
 happens across searches, which share immutable game states and strategy
@@ -67,7 +68,7 @@ class SearchConfig:
             raise ValueError("simulation budget must be positive")
         if self.policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}")
-        if self.exploration < 0:
+        if not self.exploration >= 0:
             raise ValueError("exploration constant must be non-negative")
 
     def with_seed(self, seed: int) -> "SearchConfig":

@@ -79,7 +79,7 @@ def build_weight_table(knots, horizon: int, w0: float) -> WeightProfile:
         raise ValueError("a profile needs at least two knots")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    if w0 < 0:
+    if not w0 >= 0:
         raise ValueError("w0 must be non-negative")
     arr = np.asarray(knots)
     if not np.all(np.isfinite(arr)):
@@ -149,7 +149,7 @@ def feedback_weight(profile: str, t: float, horizon: int, final_ratio: float) ->
     """
     if profile not in FEEDBACK_PROFILES:
         raise ValueError(f"unknown feedback profile {profile!r}")
-    if final_ratio <= 1.0:
+    if not final_ratio > 1.0:
         raise ValueError("final_ratio must exceed 1")
     if not 0 <= t <= horizon:
         raise ValueError(f"t={t} outside [0, {horizon}]")

@@ -1,8 +1,9 @@
-"""Optimization loop: proposal quality, batching, determinism, efficacy."""
+"""Optimization loop: proposal quality, determinism, efficacy."""
 
 import numpy as np
 import pytest
 
+from mctsopt import bayesopt
 from mctsopt.bayesopt import (OptimizeConfig, bayesopt_loop, fit_surrogate,
                               propose_next, random_search)
 from mctsopt.gp import expected_improvement
@@ -33,12 +34,9 @@ class TestConfigValidation:
             OptimizeConfig(bounds=((0.0, 1.0),), n_init=1)
         with pytest.raises(ValueError):
             OptimizeConfig(bounds=((0.0, 1.0),), n_init=8, n_iter=4)
-        with pytest.raises(ValueError):
-            OptimizeConfig(bounds=((0.0, 1.0),), batch=0)
-        with pytest.raises(ValueError):
-            OptimizeConfig(bounds=((0.0, 1.0),), acquisition="PI")
-        with pytest.raises(ValueError):
-            OptimizeConfig(bounds=((0.0, 1.0),), noise_var=-1.0)
+        for noise_var in (-1.0, float("nan")):
+            with pytest.raises(ValueError):
+                OptimizeConfig(bounds=((0.0, 1.0),), noise_var=noise_var)
 
 
 class TestProposeNext:
@@ -51,15 +49,15 @@ class TestProposeNext:
     def test_identical_candidates_returned(self):
         config, model = self.setup_model()
         cands = np.full((10, 1), 0.25)
-        got = propose_next(model, config, batch=1, candidates=cands)
-        assert got.shape == (1, 1)
-        assert got[0, 0] == 0.25
+        got = propose_next(model, config, candidates=cands)
+        assert got.shape == (1,)
+        assert got[0] == 0.25
 
     def test_proposal_matches_grid_search_oracle(self):
         # Unique high-EI region; the proposal must be as good as a dense
         # grid's best point up to grid resolution.
         config, model = self.setup_model()
-        proposal = propose_next(model, config, batch=1)[0]
+        proposal = propose_next(model, config)
         grid = np.linspace(0.0, 1.0, 10_001).reshape(-1, 1)
         mu, var = model.posterior_batch(grid)
         f_best = float(np.max(model.t))
@@ -67,21 +65,6 @@ class TestProposeNext:
         mu_p, var_p = model.posterior(proposal)
         prop_ei = expected_improvement(mu_p, np.sqrt(var_p), f_best)
         assert prop_ei >= np.max(grid_ei) - 1e-6
-
-    def test_batch_proposals_are_distinct(self):
-        config, model = self.setup_model()
-        batch = propose_next(model, config, batch=3)
-        assert batch.shape == (3, 1)
-        for i in range(3):
-            for j in range(i + 1, 3):
-                assert np.linalg.norm(batch[i] - batch[j]) > 0.0
-
-    def test_ucb_acquisition_route(self):
-        config = OptimizeConfig(bounds=((0.0, 1.0),), n_init=2, n_iter=10,
-                                acquisition="UCB", kappa=2.0, noise_var=1e-6)
-        model = fit_surrogate([[0.0], [1.0]], [0.0, 1.0], config)
-        proposal = propose_next(model, config, batch=1)
-        assert 0.0 <= proposal[0, 0] <= 1.0
 
 
 class TestLoop:
@@ -91,6 +74,21 @@ class TestLoop:
         best_x, history = bayesopt_loop(lambda x: 0.7, config)
         assert len(history) == 12
         assert all(e.value == 0.7 for e in history)
+
+    def test_each_proposal_follows_a_fit_on_every_result(self, monkeypatch):
+        # One point per round, so the surrogate holds only real results and
+        # the candidate draws are keyed by how many there are.
+        config = OptimizeConfig(bounds=((0.0, 1.0),) * 2, n_init=3, n_iter=7,
+                                seed=2)
+        evaluated, fitted = [], []
+
+        def spy(model, cfg, candidates=None):
+            fitted.append((model.n, len(evaluated)))
+            return propose_next(model, cfg, candidates)
+
+        monkeypatch.setattr(bayesopt, "propose_next", spy)
+        bayesopt_loop(lambda x: evaluated.append(x) or float(x[0]), config)
+        assert fitted == [(n, n) for n in range(3, 7)]
 
     def test_deterministic_history(self):
         config = OptimizeConfig(bounds=((-1.0, 1.0),) * 2, n_init=4,

@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from mctsopt.cli import _KINDS, _SYNTHETIC_KEYS, dispatch
+from mctsopt.cli import _KINDS, _OPTIMIZE_KEYS, _SYNTHETIC_KEYS, dispatch
 from mctsopt.config import REQUIRED, read_config
 
 TYPE_NAMES = {str: "string", int: "integer", float: "number"}
@@ -516,6 +516,11 @@ IGNORED_KEYS = {
     "descriptor-in-descriptor": (
         "analyze", "[game]\ndescriptor = {dir}/d.ini\n\n[search]\nsimulations = 10\n",
         "[game]\nbranching = 3\ndepth = 3\ndescriptor = {dir}/d.ini\n"),
+    # The optimiser proposes one expected-improvement point per round.
+    "no-batch": ("optimize", TestOptimize.STUB + "batch = 2\n"),
+    "no-acquisition": ("optimize", TestOptimize.STUB + "acquisition = UCB\n"),
+    "no-kappa": ("optimize", TestOptimize.STUB + "kappa = 2.0\n"),
+    "no-candidate-count": ("optimize", TestOptimize.STUB + "candidate_count = 512\n"),
 }
 
 
@@ -537,6 +542,58 @@ def test_key_the_run_would_not_read_is_rejected(case, tmp_path, capsys,
                    "--out", out) == 2
     err = capsys.readouterr().err
     assert f"{anchor_file}:{len(lines)}: unknown key {key!r}" in err
+    assert played == []
+    assert os.listdir(out) == []              # no history.csv, nor any output
+
+
+# Values a range check must reject, NaN included: (subcommand, config,
+# the line the error is anchored at, message).
+SEARCH_INI = TestValidation.SEARCH
+BAD_VALUES = {
+    "exploration-nan": ("analyze", SEARCH_INI + "exploration = nan\n", "[search]",
+                        "exploration constant must be non-negative"),
+    "coulom-x-nan": (
+        "analyze", SEARCH_INI + "backup = coulom\ncoulom_x = nan\ncoulom_y = 4\n",
+        "backup = coulom", "bad backup spec: x must be positive"),
+    "final-ratio-nan": (
+        "analyze", SEARCH_INI + "backup = feedback\nfeedback_profile = GAX\n"
+                                "horizon = 8\nfinal_ratio = nan\n",
+        "backup = feedback", "bad backup spec: final_ratio must exceed 1"),
+    "w0-nan": (
+        "analyze", SEARCH_INI + "backup = monotone\nknots = (-2, -1)\n"
+                                "horizon = 8\nw0 = nan\n",
+        "backup = monotone", "bad backup spec: w0 must be non-negative"),
+    "noise-sd-nan": (
+        "analyze", SEARCH_INI + "evaluator = noisy_oracle\nnoise_sd = nan\n",
+        "evaluator = noisy_oracle",
+        "bad evaluator spec: noise_sd must be non-negative"),
+    "noise-var-nan": (
+        "optimize", OPTIMIZE_MATCH_INI.replace("n_iter = 3\n",
+                                               "n_iter = 3\nnoise_var = nan\n"),
+        "[optimize]", "noise_var must be non-negative"),
+    "m-zero-stub": ("optimize", TestOptimize.STUB.replace("m = 3", "m = 0"),
+                    "m = 0", "m must be at least 2"),
+    "m-one-match": ("optimize", OPTIMIZE_MATCH_INI.replace("m = 2", "m = 1"),
+                    "m = 1", "m must be at least 2"),
+    "horizon-zero-match": (
+        "optimize", OPTIMIZE_MATCH_INI.replace("n_iter = 3\n",
+                                               "n_iter = 3\nhorizon = 0\n"),
+        "horizon = 0", "horizon must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_VALUES)
+def test_bad_value_is_rejected_at_its_anchor(case, tmp_path, capsys,
+                                             monkeypatch):
+    played = []
+    monkeypatch.setattr("mctsopt.cli.winrate_objective",
+                        lambda *a, **kw: played.append(a) or 0.5)
+    subcommand, text, anchored, message = BAD_VALUES[case]
+    config = write_config(tmp_path, "c.ini", text)
+    out = str(tmp_path / "out")
+    assert run_cli(subcommand, "--config", config, "--out", out) == 2
+    line = text.splitlines().index(anchored) + 1
+    assert f"c.ini:{line}: {message}" in capsys.readouterr().err
     assert played == []
     assert os.listdir(out) == []              # no history.csv, nor any output
 
@@ -563,3 +620,23 @@ def test_readme_names_the_declared_keys():
                     + " and ".join(_describe(keys))) in prose
         else:
             assert f"`evaluator = {kind}` reads no more keys" in prose
+
+
+def test_readme_tabulates_the_optimize_keys():
+    """README's [optimize] table lists exactly the keys _OPTIMIZE_KEYS
+    declares, with their types and fixed defaults; a key the run resolves
+    (default None) has prose, not a value, in its default cell."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    readme = open(path, encoding="utf-8").read()
+    table = readme.split("| key         | type    | default | meaning |\n")[1]
+    table = table.split("\n\n")[0]
+    rows = {key: (kind, default) for key, kind, default in re.findall(
+        r"^\| `(\w+)` +\| (\w+) +\| (.+?) \| .+ \|$", table, re.M)}
+    assert list(rows) == list(_OPTIMIZE_KEYS)
+    for key, (convert, default) in _OPTIMIZE_KEYS.items():
+        kind, cell = rows[key]
+        assert kind == TYPE_NAMES[convert], key
+        if default is None:
+            assert not re.fullmatch(r"`[^`]*`", cell), key
+        else:
+            assert cell == f"`{default}`", key

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mctsopt.gp import (Matern52Kernel, expected_improvement, fit,
-                        kernel_eval, ucb_acquisition)
+                        kernel_eval)
 
 
 def separated_points(rng, n, d, lo, hi, min_dist):
@@ -87,6 +87,10 @@ class TestKernel:
             Matern52Kernel(amplitude=0.0, lengthscales=(1.0,))
         with pytest.raises(ValueError):
             Matern52Kernel(amplitude=1.0, lengthscales=(-1.0,))
+        for noise_var in (-1.0, np.nan):
+            with pytest.raises(ValueError):
+                Matern52Kernel(amplitude=1.0, lengthscales=(1.0,),
+                               noise_var=noise_var)
 
 
 class TestFit:
@@ -219,10 +223,3 @@ class TestAcquisitions:
         vals = expected_improvement(np.full_like(sigmas, 0.2), sigmas, 0.5)
         assert np.all(vals >= 0.0)
         assert np.all(np.diff(vals) >= -1e-14)
-
-    def test_ucb(self):
-        assert ucb_acquisition(0.5, 0.1, 0.0) == 0.5
-        assert ucb_acquisition(0.5, 0.0, 3.0) == 0.5
-        assert ucb_acquisition(0.5, 0.1, 2.0) == pytest.approx(0.7)
-        with pytest.raises(ValueError):
-            ucb_acquisition(0.5, 0.1, -1.0)
