@@ -177,10 +177,13 @@ def softmax_parent_update(children, maximizing: bool, profile: WeightProfile,
 
 
 class _ParentRecomputeBackup(BackupStrategy):
-    """Base for strategies that rebuild ancestor values from children."""
+    """Base for strategies that rebuild ancestor values from children.
 
-    def parent_value(self, node) -> float:
-        raise NotImplementedError
+    Each ancestor's value is what coulom_parent_update or
+    softmax_parent_update gives for its visited children, computed in one
+    pass over the children with the same floating-point operations in the
+    same order, so the results are bit-identical.
+    """
 
     def backpropagate(self, path, value: float) -> None:
         leaf = path[-1]
@@ -188,13 +191,10 @@ class _ParentRecomputeBackup(BackupStrategy):
         leaf.acc_weight += 1.0
         leaf.q = leaf.acc_value / leaf.acc_weight
         leaf.visits += 1
-        for node in reversed(path[:-1]):
-            node.visits += 1
-            node.q = self.parent_value(node)
+        self._recompute_ancestors(path)
 
-    @staticmethod
-    def _visited_children(node):
-        return [(c.q, c.visits) for c in node.children if c.visits > 0]
+    def _recompute_ancestors(self, path) -> None:
+        raise NotImplementedError
 
 
 class CoulomBackup(_ParentRecomputeBackup):
@@ -210,9 +210,29 @@ class CoulomBackup(_ParentRecomputeBackup):
         self.x = float(x)
         self.y = int(y)
 
-    def parent_value(self, node) -> float:
-        return coulom_parent_update(self._visited_children(node), node.is_max,
-                                    self.x, self.y, node.visits)
+    def _recompute_ancestors(self, path) -> None:
+        x = self.x
+        y = self.y
+        for node in reversed(path[:-1]):
+            n_parent = node.visits + 1
+            node.visits = n_parent
+            maximizing = node.is_max
+            products = []
+            total_n = 0
+            q_best = None
+            for child in node.children:
+                n = child.visits
+                if n:
+                    q = child.q
+                    products.append(q * n)
+                    total_n += n
+                    if q_best is None or (q > q_best if maximizing else q < q_best):
+                        q_best = q
+                        n_best = n
+            q_mean = sum(products) / total_n
+            m = x if n_parent < y else x * (1.0 + math.log2(n_parent / y))
+            lam = n_best / (n_best + m)
+            node.q = lam * q_best + (1.0 - lam) * q_mean
 
 
 class SoftmaxBackup(_ParentRecomputeBackup):
@@ -229,14 +249,40 @@ class SoftmaxBackup(_ParentRecomputeBackup):
         if profile.w0 != 0.0:
             raise ValueError("softmax backup requires a profile with w0 = 0")
         self.profile = profile
+        self._table = [float(w) for w in profile.table]
+        self._last = profile.horizon
 
     @classmethod
     def from_knots(cls, knots, horizon: int) -> "SoftmaxBackup":
         return cls(build_weight_table(knots, horizon, w0=0.0))
 
-    def parent_value(self, node) -> float:
-        return softmax_parent_update(self._visited_children(node), node.is_max,
-                                     self.profile, node.visits)
+    def _recompute_ancestors(self, path) -> None:
+        table = self._table
+        last = self._last
+        exp = math.exp
+        for node in reversed(path[:-1]):
+            n_parent = node.visits + 1
+            node.visits = n_parent
+            w = table[n_parent] if n_parent < last else table[last]
+            sign = 1.0 if node.is_max else -1.0
+            qs = []
+            ns = []
+            exponents = []
+            for child in node.children:
+                n = child.visits
+                if n:
+                    q = child.q
+                    qs.append(q)
+                    ns.append(n)
+                    exponents.append(sign * q * w)
+            top = max(exponents)
+            total = 0.0
+            weighted = 0.0
+            for q, n, e in zip(qs, ns, exponents):
+                a = n * exp(e - top)
+                total += a
+                weighted += a * q
+            node.q = weighted / total
 
 
 def format_knots(knots) -> str:

@@ -101,6 +101,9 @@ _ENGINE_KEYS = {"policy": (str, SearchConfig.policy),
 _BACKUP_KEY = {"backup": (str, "standard")}
 _SEARCH_KEYS = {"simulations": (int, SearchConfig.simulations),
                 "seed": (int, SearchConfig.seed), **_BACKUP_KEY}
+# Under optimize, evaluation i plays at derive([optimize] seed, "eval", i),
+# so [match] seed is read there but not used.  It is not rejected, because
+# existing optimize configs (the benchmark's among them) set it.
 _MATCH_KEYS = {"games": (int, REQUIRED), "sims_per_move": (int, REQUIRED),
                "seed": (int, MatchConfig.seed)}
 # The keys from noise_var on are OptimizeConfig's fields.  horizon and

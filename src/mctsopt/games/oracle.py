@@ -1,7 +1,8 @@
 """Exact minimax oracle and the two leaf evaluators.
 
 The oracle refuses (rather than truncates) when a game would exceed the
-node ceiling, so a returned value is always exact.  The noisy oracle
+node ceiling, so a returned value is always exact.  Tic-tac-toe is solved
+whole on first use and then answered by lookup.  The noisy oracle
 evaluator stands in for a learned value function: exact value plus
 clamped Gaussian noise, keyed by (state, seed) so concurrent searches
 see identical noise.
@@ -9,19 +10,30 @@ see identical noise.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from ..seeds import derive
 from .base import GameState, NodeLimitError, PlayerRole
 from .synthetic import MAX_ORACLE_NODES, SyntheticTreeState
+from .tictactoe import TicTacToeState, empty_board
+
+
+# Positions reachable from the empty tic-tac-toe board.  A depth-first
+# search from any of them visits at most this many, so a node limit this
+# large never stops one.
+TTT_POSITIONS = 5478
 
 
 def minimax_value(state: GameState, node_limit: int = MAX_ORACLE_NODES) -> float:
     """Exact game value of ``state`` in [0, 1] from MAX's perspective.
 
-    Synthetic trees answer from cached bottom-up level arrays; other games
-    run a memoized depth-first search.  Exceeding ``node_limit`` raises
-    NodeLimitError instead of returning an approximate value.
+    Synthetic trees answer from cached bottom-up level arrays.  Reachable
+    tic-tac-toe positions answer from a table of every such position,
+    solved once on the first call whose ``node_limit`` admits the whole
+    game.  Everything else (other games, smaller limits, unreachable
+    boards) runs a memoized depth-first search.  Exceeding ``node_limit``
+    raises NodeLimitError instead of returning an approximate value.
     """
     if isinstance(state, SyntheticTreeState):
         tree = state.tree
@@ -30,7 +42,27 @@ def minimax_value(state: GameState, node_limit: int = MAX_ORACLE_NODES) -> float
             raise NodeLimitError(f"{total} nodes exceed the {node_limit} ceiling")
         return tree.node_value(state.depth, state.index)
 
+    if isinstance(state, TicTacToeState) and node_limit >= TTT_POSITIONS:
+        value = _solved_tictactoe().get((state.xs, state.os, state.x_to_move))
+        if value is not None:
+            return value
+    return _search(state, node_limit, {})
+
+
+@functools.cache
+def _solved_tictactoe() -> dict:
+    """(xs, os, x_to_move) -> exact value, for every tic-tac-toe position
+    reachable from the empty board; solved on the first call only."""
     memo: dict = {}
+    _search(empty_board(), TTT_POSITIONS, memo)
+    # In a reachable position X moves exactly when both have as many marks.
+    return {(xs, os, xs.bit_count() == os.bit_count()): v
+            for (_, xs, os), v in memo.items()}
+
+
+def _search(state: GameState, node_limit: int, memo: dict) -> float:
+    """Memoized depth-first minimax of ``state``, filling ``memo`` by
+    state_key; visiting more than ``node_limit`` states raises."""
     budget = [node_limit]
 
     def value(s: GameState) -> float:

@@ -4,10 +4,11 @@ Each iteration selects a path with UCB1 or PUCT, expands the first
 unexpanded node it reaches (adding all children at once, their priors the
 state's normalized action_priors or uniform ones), evaluates the state of
 the child the tree policy picks there, and hands the return to the backup
-strategy.  Nodes hold statistics only, no game state: each descent
-rebuilds the states along its path by applying the chosen actions to the
-root with state.apply.  The updated path ends at the expanded node
-itself: a node's first visit is its own expansion pass, so after any
+strategy.  Nodes hold statistics only, no game state: a map local to
+run_search builds each node's state once, with state.apply, the first
+time a descent enters the node, and is dropped when the search returns,
+so a returned tree holds no state.  The updated path ends at the expanded
+node itself: a node's first visit is its own expansion pass, so after any
 search every internal node satisfies N_parent = 1 + sum of child visits,
 and the root children's visit counts sum to simulations - 1.
 
@@ -160,6 +161,7 @@ def run_search(root: GameState, config: SearchConfig) -> SearchResult:
     rollout_rng = random.Random(derive(config.seed, "rollout"))
 
     root_node = SearchNode(is_max=root.to_move is PlayerRole.MAX)
+    states = {}          # node -> its state, built when first entered
     for _ in range(config.simulations):
         node = root_node
         state = root
@@ -175,8 +177,12 @@ def run_search(root: GameState, config: SearchConfig) -> SearchResult:
                                  evaluator, rollout_rng)
                 break
             i = _select_index(node, use_ucb1, c)
-            state = state.apply(node.child_actions[i])
-            node = node.children[i]
+            child = node.children[i]
+            child_state = states.get(child)
+            if child_state is None:
+                child_state = states[child] = state.apply(node.child_actions[i])
+            node = child
+            state = child_state
             path.append(node)
         strategy.backpropagate(path, value)
 

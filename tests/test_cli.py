@@ -296,6 +296,19 @@ depth = 3
         assert all(r[3] == "4" for r in rows[1:])     # games column
         assert all(0.0 <= float(r[2]) <= 1.0 for r in rows[1:])
 
+    def test_match_seed_is_read_but_not_used(self, tmp_path):
+        # Evaluation i plays at derive([optimize] seed, "eval", i), so the
+        # [match] seed changes nothing.
+        histories = []
+        for seed in (2, 99):
+            config = write_config(tmp_path, f"o{seed}.ini", OPTIMIZE_MATCH_INI.replace(
+                "sims_per_move = 20\n", f"sims_per_move = 20\nseed = {seed}\n"))
+            out = str(tmp_path / f"o{seed}")
+            assert run_cli("optimize", "--config", config, "--out", out) == 0
+            with open(os.path.join(out, "history.csv")) as fh:
+                histories.append(strip_timestamps(fh.read()))
+        assert histories[0] == histories[1]
+
     def test_box_beyond_knot_limit_rejected_before_any_game(
             self, tmp_path, capsys, monkeypatch):
         played = []

@@ -1,6 +1,9 @@
 """Game environments against brute-force and Monte-Carlo oracles."""
 
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +14,9 @@ from mctsopt.games import (NodeLimitError, NoisyOracleEvaluator, PlayerRole,
                            SyntheticTreeSpec, best_actions, empty_board,
                            evaluate, generate_synthetic_tree,
                            minimax_value, reachable_states, trap_priors)
+from mctsopt.games import oracle
+from mctsopt.games.oracle import TTT_POSITIONS
+from mctsopt.games.synthetic import MAX_ORACLE_NODES
 from mctsopt.games.tictactoe import TicTacToeState
 
 
@@ -204,6 +210,43 @@ class TestOracleCeiling:
         root = generate_synthetic_tree(SyntheticTreeSpec(2, 5, seed=0))
         with pytest.raises(NodeLimitError):
             minimax_value(root, node_limit=10)
+
+    def test_below_the_whole_game_tictactoe_still_refuses(self):
+        minimax_value(empty_board())           # the solved table exists
+        with pytest.raises(NodeLimitError):
+            minimax_value(empty_board(), node_limit=10)
+        with pytest.raises(NodeLimitError):
+            minimax_value(empty_board(), node_limit=TTT_POSITIONS - 1)
+
+
+class TestSolvedTicTacToe:
+    def test_positions_constant_counts_reachable_states(self):
+        assert TTT_POSITIONS == len(reachable_states())
+
+    def test_table_equals_uncached_search_everywhere(self):
+        # A node limit below the whole game bypasses the table; where the
+        # search would not fit under it, a fresh memo answers instead.
+        for state in reachable_states():
+            try:
+                direct = minimax_value(state, node_limit=TTT_POSITIONS - 1)
+            except NodeLimitError:
+                direct = oracle._search(state, MAX_ORACLE_NODES, {})
+            assert minimax_value(state) == direct
+
+    def test_wrong_mover_is_searched_not_looked_up(self):
+        # O to move on a board where X should move: not a reachable
+        # position, so its value comes from a search of its own.
+        state = TicTacToeState(xs=0b000000011, os=0b000011000, x_to_move=False)
+        assert minimax_value(state) == brute_force_value(state) == 0.0
+
+    def test_table_is_built_on_first_use_not_at_import(self):
+        code = ("import mctsopt; from mctsopt.games import oracle; "
+                "print(oracle._solved_tictactoe.cache_info().currsize)")
+        src = os.path.dirname(os.path.dirname(os.path.dirname(oracle.__file__)))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True,
+                             env=dict(os.environ, PYTHONPATH=src))
+        assert out.stdout.strip() == "0"
 
 
 class TestEvaluators:

@@ -4,17 +4,19 @@ Every backup x {a seeded trap tree (b = 3, d = 4), tic-tac-toe} x
 {PUCT, UCB1}, at most 60 simulations and a drawn weight profile, keeps
 visit counts conserved and every visited Q in [0, 1]; the parent-recompute
 backups keep the root Q between the children's visit-weighted mean and the
-best child; the averaging backups give exactly the weighted mean of the
-returns fed to a node, summed in arrival order; and a match between two
-drawn backups on the trap pool gives the same result and game records at
-one worker and at two.
+best child, and leave every node with a visited child holding exactly the
+reference parent update of those children; the averaging backups give
+exactly the weighted mean of the returns fed to a node, summed in arrival
+order; and a match between two drawn backups on the trap pool gives the
+same result and game records at one worker and at two.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mctsopt.backup import (CoulomBackup, ErwaBackup, FeedbackBackup,
-                            MonotoneBackup, SoftmaxBackup, StandardBackup)
+                            MonotoneBackup, SoftmaxBackup, StandardBackup,
+                            coulom_parent_update, softmax_parent_update)
 from mctsopt.games import empty_board
 from mctsopt.search import SearchConfig, SearchNode, run_search
 from mctsopt.tournament import MatchConfig, SyntheticPool, run_match
@@ -80,6 +82,20 @@ def test_search_invariants(kind, game, policy, data, sims, seed, exploration):
         best = pick(c.q for c in visited)
         eps = 1e-12
         assert min(mean, best) - eps <= root.q <= max(mean, best) + eps
+
+        # A node was last updated by a recompute, and none of its children
+        # changed after that, so its Q is the reference update, bit for bit.
+        for node in walk(root):
+            children = [(c.q, c.visits) for c in node.children or () if c.visits]
+            if not children:
+                continue
+            if kind == "coulom":
+                expected = coulom_parent_update(children, node.is_max, strategy.x,
+                                                strategy.y, node.visits)
+            else:
+                expected = softmax_parent_update(children, node.is_max,
+                                                 strategy.profile, node.visits)
+            assert node.q == expected
 
 
 def reference_weights(kind, params, horizon):

@@ -1,14 +1,17 @@
 """MCTS loop: selection arithmetic, conservation laws, convergence."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from mctsopt.backup import (CoulomBackup, ErwaBackup, FeedbackBackup,
                             MonotoneBackup, SoftmaxBackup, StandardBackup)
-from mctsopt.games import SyntheticTree, empty_board, minimax_value
+from mctsopt.games import GameState, SyntheticTree, empty_board, minimax_value
 from mctsopt.search import SearchConfig, SearchNode, run_search, select_child
+from mctsopt.tournament import SyntheticPool
 
 
 def make_parent(child_stats, is_max=True):
@@ -173,6 +176,79 @@ class TestRunSearchBasics:
                               root_priors=(1.0, 2.0))
         with pytest.raises(ValueError):
             run_search(wrong.root, SearchConfig(simulations=5))
+
+
+class ApplyLog:
+    """How many states a search made, and which of them are still alive."""
+
+    def __init__(self):
+        self.applies = 0
+        self.alive = weakref.WeakSet()
+
+
+class CountingState(GameState):
+    """Wraps a state and records every apply in an ApplyLog."""
+
+    def __init__(self, inner, log):
+        self.inner = inner
+        self.log = log
+
+    to_move = property(lambda self: self.inner.to_move)
+    actions = property(lambda self: self.inner.actions)
+    terminal = property(lambda self: self.inner.terminal)
+    terminal_return = property(lambda self: self.inner.terminal_return)
+    action_priors = property(lambda self: self.inner.action_priors)
+
+    def apply(self, action):
+        child = CountingState(self.inner.apply(action), self.log)
+        self.log.applies += 1
+        self.log.alive.add(child)
+        return child
+
+
+class ConstantEvaluator:
+    kind = "constant"
+
+    def evaluate(self, state, rng=None):
+        return 0.5
+
+
+class TestStateReuse:
+    POOL = SyntheticPool(branching=3, depth=4, trap_level=2, trap_count=1,
+                         trap_prior=0.6)
+
+    @pytest.mark.parametrize("backup", [StandardBackup(),
+                                        SoftmaxBackup.from_knots((-2.0, -1.0), 300)],
+                             ids=["standard", "softmax"])
+    @pytest.mark.parametrize("policy", ["PUCT", "UCB1"])
+    def test_one_apply_per_entered_node_plus_one_per_evaluation(self, backup,
+                                                                 policy):
+        # Re-applying the path at every level would cost about one apply
+        # per tree level per simulation: 4 or more here.
+        sims = 300
+        log = ApplyLog()
+        result = run_search(CountingState(self.POOL.make(3), log), SearchConfig(
+            simulations=sims, policy=policy, backup=backup,
+            evaluator=ConstantEvaluator(), seed=2))
+        nodes = list(walk(result.root))
+        entered = sum(1 for node in nodes[1:] if node.visits)
+        evaluations = sum(1 for node in nodes if node.children is not None)
+        assert log.applies == entered + evaluations <= 2 * sims
+
+    def test_returned_tree_holds_no_state(self):
+        log = ApplyLog()
+        result = run_search(CountingState(self.POOL.make(3), log), SearchConfig(
+            simulations=200, policy="PUCT", evaluator=ConstantEvaluator()))
+        gc.collect()
+        assert log.applies > 0
+        assert result.root.visits == 200
+        assert len(log.alive) == 0
+
+
+def walk(node):
+    yield node
+    for child in node.children or ():
+        yield from walk(child)
 
 
 class TestStandardMeanReplay:
