@@ -107,11 +107,10 @@ _SEARCH_KEYS = {"simulations": (int, SearchConfig.simulations),
 _MATCH_KEYS = {"games": (int, REQUIRED), "sims_per_move": (int, REQUIRED),
                "seed": (int, MatchConfig.seed)}
 # The keys from noise_var on are OptimizeConfig's fields.  horizon and
-# noise_var default to None, which _cmd_optimize resolves (from the match,
-# under objective = match).
+# noise_var default to None, which _cmd_optimize resolves from the match.
 _OPTIMIZE_KEYS = {"kind": (str, "softmax"), "m": (int, 6), "lo": (float, -10.0),
-                  "hi": (float, -4.0), "objective": (str, "match"),
-                  "horizon": (int, None), "noise_var": (float, None),
+                  "hi": (float, -4.0), "horizon": (int, None),
+                  "noise_var": (float, None),
                   **{key: (convert, getattr(OptimizeConfig, key))
                      for key, convert in (
                          ("n_init", int), ("n_iter", int), ("seed", int))}}
@@ -120,8 +119,9 @@ _PROFILE_KEYS = {"knots": (str, REQUIRED), "horizon": (int, REQUIRED),
 
 
 def _load_game_section(config: Config, section: str) -> dict:
-    """Resolve a [game]/[pool] section, following a descriptor reference:
-    {"kind": "tictactoe"}, or kind "synthetic" and every spec field."""
+    """Resolve a [game]/[pool] section, following a descriptor reference
+    (a file holding only a [game] section): {"kind": "tictactoe"}, or kind
+    "synthetic" and every spec field."""
     entries = config.section(section)
     if "descriptor" in entries:
         if len(entries) > 1:
@@ -129,6 +129,10 @@ def _load_game_section(config: Config, section: str) -> dict:
                                "descriptor cannot be combined with other keys")
         ref = config.read(section, {"descriptor": (str, REQUIRED)})["descriptor"]
         config, section = read_config(ref), "game"
+        for name in config.sections:
+            if name != section:
+                raise config.error(name, None, f"unknown section [{name}] in "
+                                               f"a game descriptor")
         entries = config.section(section)
     # kind picks the table, and reading it raw is what read would return.
     kind = entries.get("kind", SyntheticTreeSpec.kind)
@@ -307,31 +311,10 @@ def _cmd_tournament(config: Config, args) -> int:
     return 0
 
 
-def _stub_objective(bounds, seed):
-    """Deterministic noisy quadratic with a known interior optimum; used
-    for exercising the optimize pipeline without playing games."""
-    import numpy as np
-
-    lows = np.array([lo for lo, _ in bounds])
-    highs = np.array([hi for _, hi in bounds])
-    center = lows + 0.7 * (highs - lows)
-    state = {"count": 0}
-
-    def objective(x):
-        rng = np.random.Generator(np.random.Philox(
-            key=derive(seed, "stub", state["count"])))
-        state["count"] += 1
-        return float(-np.sum((np.asarray(x) - center) ** 2)
-                     + rng.normal(0.0, 0.02))
-
-    return objective
-
-
 def _cmd_optimize(config: Config, args) -> int:
     settings = config.read("optimize", _OPTIMIZE_KEYS)
-    kind, m, lo, hi, objective_kind, horizon = (
-        settings.pop(key)
-        for key in ("kind", "m", "lo", "hi", "objective", "horizon"))
+    kind, m, lo, hi, horizon = (settings.pop(key)
+                                for key in ("kind", "m", "lo", "hi", "horizon"))
     if kind not in ("softmax", "monotone"):
         raise config.error("optimize", "kind",
                            f"kind must be softmax or monotone, got {kind!r}")
@@ -346,56 +329,39 @@ def _cmd_optimize(config: Config, args) -> int:
         settings["seed"] = args.seed
     seed = settings["seed"]
 
-    games = 0
-    base = None
-    if objective_kind == "match":
-        base = _load_match(config, None, {})
-        games = base.games
-        default_noise = 0.25 / games     # binomial variance of a win-rate
-    elif objective_kind == "stub":
-        default_noise = 4e-4
-    else:
-        raise config.error("optimize", "objective",
-                           f"objective must be match or stub, got "
-                           f"{objective_kind!r}")
-
+    base = _load_match(config, None, {})
     if horizon is None:
-        horizon = base.sims_per_move if base is not None else 100
+        horizon = base.sims_per_move
     if settings["noise_var"] is None:
-        settings["noise_var"] = default_noise
+        # The binomial variance of a win-rate at p = 0.5.
+        settings["noise_var"] = 0.25 / base.games
     try:
         opt = OptimizeConfig(bounds=tuple((lo, hi) for _ in range(m)),
                              **settings)
     except ValueError as exc:
         raise config.error("optimize", None, str(exc)) from exc
-    if base is not None:
-        # w(t) increases in every knot, so when the top corner of the box
-        # gives a weight table, every candidate in the box does.
-        try:
-            build_weight_table((hi,) * m, horizon,
-                               w0=1.0 if kind == "monotone" else 0.0)
-        except ValueError as exc:
-            raise config.error("optimize", "hi",
-                               f"knots at hi = {hi!r} give no {kind} "
-                               f"profile: {exc}") from exc
-
-    eval_index = [0]
-    if objective_kind == "stub":
-        objective = _stub_objective(opt.bounds, seed)
-    else:
-        def objective(x):
-            return winrate_objective(tuple(x), kind, base, horizon=horizon,
-                                     seed=derive(seed, "eval", eval_index[0]),
-                                     workers=args.workers)
+    # w(t) increases in every knot, so when the top corner of the box
+    # gives a weight table, every candidate in the box does.
+    backup = MonotoneBackup if kind == "monotone" else SoftmaxBackup
+    try:
+        backup.from_knots((hi,) * m, horizon)
+    except ValueError as exc:
+        raise config.error("optimize", "hi",
+                           f"knots at hi = {hi!r} give no {kind} "
+                           f"profile: {exc}") from exc
 
     history_rows = []
 
+    def objective(x):
+        return winrate_objective(tuple(x), kind, base, horizon=horizon,
+                                 seed=derive(seed, "eval", len(history_rows)),
+                                 workers=args.workers)
+
     def on_evaluation(entry):
         history_rows.append((
-            eval_index[0], format_knots(entry.point), f"{entry.value:.10g}",
-            games, time.strftime("%Y-%m-%dT%H:%M:%S"),
+            len(history_rows), format_knots(entry.point), f"{entry.value:.10g}",
+            base.games, time.strftime("%Y-%m-%dT%H:%M:%S"),
         ))
-        eval_index[0] += 1
 
     best_x, history = bayesopt_loop(objective, opt, callback=on_evaluation)
     best_value = max(e.value for e in history)
@@ -409,8 +375,7 @@ def _cmd_optimize(config: Config, args) -> int:
         "horizon": horizon, "best_value": best_value,
         "evaluations": len(history),
     }, indent=2, sort_keys=True) + "\n")
-    _write_manifest(args.out, "optimize", config, args,
-                    {"objective": objective_kind, "horizon": horizon})
+    _write_manifest(args.out, "optimize", config, args, {"horizon": horizon})
     print(f"best {kind} profile: {best_knots}")
     print(f"best objective value: {best_value:.6g} over {len(history)} evaluations")
     return 0
@@ -453,9 +418,8 @@ _COMMANDS = {
     "optimize": (_cmd_optimize,
                  {"optimize", "match", "pool", "engine_a", "engine_b"},
                  "Tune weight-profile knots by match win-rate. Config: "
-                 "[optimize] and, for objective = match, the tournament "
-                 "sections. CSV columns: eval, knots, win_rate, games, "
-                 "timestamp."),
+                 "[optimize] and the tournament sections. CSV columns: "
+                 "eval, knots, win_rate, games, timestamp."),
     "dump-profile": (_cmd_dump_profile, {"profile"},
                      "Materialize a weight profile. Config: [profile] knots, "
                      "horizon, w0. CSV columns: t, p, w."),

@@ -19,34 +19,29 @@ from .synthetic import MAX_ORACLE_NODES, SyntheticTreeState
 from .tictactoe import TicTacToeState, empty_board
 
 
-# Positions reachable from the empty tic-tac-toe board.  A depth-first
-# search from any of them visits at most this many, so a node limit this
-# large never stops one.
-TTT_POSITIONS = 5478
-
-
-def minimax_value(state: GameState, node_limit: int = MAX_ORACLE_NODES) -> float:
+def minimax_value(state: GameState) -> float:
     """Exact game value of ``state`` in [0, 1] from MAX's perspective.
 
     Synthetic trees answer from cached bottom-up level arrays.  Reachable
     tic-tac-toe positions answer from a table of every such position,
-    solved once on the first call whose ``node_limit`` admits the whole
-    game.  Everything else (other games, smaller limits, unreachable
-    boards) runs a memoized depth-first search.  Exceeding ``node_limit``
-    raises NodeLimitError instead of returning an approximate value.
+    solved once on first use.  Everything else (other games, unreachable
+    boards) runs a memoized depth-first search.  A game beyond
+    MAX_ORACLE_NODES raises NodeLimitError instead of returning an
+    approximate value.
     """
     if isinstance(state, SyntheticTreeState):
         tree = state.tree
         total = (tree.branching**(tree.depth + 1) - 1) // (tree.branching - 1)
-        if total > node_limit:
-            raise NodeLimitError(f"{total} nodes exceed the {node_limit} ceiling")
+        if total > MAX_ORACLE_NODES:
+            raise NodeLimitError(
+                f"{total} nodes exceed the {MAX_ORACLE_NODES} ceiling")
         return tree.node_value(state.depth, state.index)
 
-    if isinstance(state, TicTacToeState) and node_limit >= TTT_POSITIONS:
+    if isinstance(state, TicTacToeState):
         value = _solved_tictactoe().get((state.xs, state.os, state.x_to_move))
         if value is not None:
             return value
-    return _search(state, node_limit, {})
+    return _search(state, MAX_ORACLE_NODES, {})
 
 
 @functools.cache
@@ -54,7 +49,7 @@ def _solved_tictactoe() -> dict:
     """(xs, os, x_to_move) -> exact value, for every tic-tac-toe position
     reachable from the empty board; solved on the first call only."""
     memo: dict = {}
-    _search(empty_board(), TTT_POSITIONS, memo)
+    _search(empty_board(), MAX_ORACLE_NODES, memo)
     # In a reachable position X moves exactly when both have as many marks.
     return {(xs, os, xs.bit_count() == os.bit_count()): v
             for (_, xs, os), v in memo.items()}

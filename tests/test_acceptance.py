@@ -423,8 +423,11 @@ def test_c8_determinism(tmp_path):
                          "[engine_a]\nbackup = erwa\nalpha = 0.1\n\n"
                          "[engine_b]\nbackup = standard\n")
     opt_cfg = tmp_path / "opt.ini"
-    opt_cfg.write_text("[optimize]\nobjective = stub\nm = 3\nlo = -10\n"
-                       "hi = -4\nn_init = 3\nn_iter = 6\nseed = 5\n")
+    opt_cfg.write_text("[optimize]\nm = 3\nlo = -3\nhi = 2\nn_init = 3\n"
+                       "n_iter = 6\nseed = 5\n\n"
+                       "[match]\ngames = 4\nsims_per_move = 20\n\n"
+                       "[pool]\nbranching = 3\ndepth = 4\n\n"
+                       "[engine_a]\n\n[engine_b]\n")
     profile_cfg = tmp_path / "profile.ini"
     profile_cfg.write_text("[profile]\nknots = (-9.0, -5.0, -7.0)\n"
                            "horizon = 500\nw0 = 1.0\n")

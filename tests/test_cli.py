@@ -7,8 +7,9 @@ import re
 
 import pytest
 
-from mctsopt.cli import _KINDS, _OPTIMIZE_KEYS, _SYNTHETIC_KEYS, dispatch
+from mctsopt.cli import _COMMANDS, _KINDS, _OPTIMIZE_KEYS, _SYNTHETIC_KEYS, dispatch
 from mctsopt.config import REQUIRED, read_config
+from mctsopt.seeds import derive
 
 TYPE_NAMES = {str: "string", int: "integer", float: "number"}
 # A value each backup key accepts.
@@ -53,6 +54,47 @@ alpha = 0.1
 [engine_b]
 backup = standard
 """
+
+OPTIMIZE_SECTION = """
+[optimize]
+kind = softmax
+m = 2
+lo = -6
+hi = -1
+n_init = 2
+n_iter = 3
+"""
+OPTIMIZE_MATCH = """
+[match]
+games = 4
+sims_per_move = 20
+
+[pool]
+branching = 3
+depth = 3
+
+[engine_a]
+
+[engine_b]
+"""
+OPTIMIZE_MATCH_INI = OPTIMIZE_SECTION + OPTIMIZE_MATCH
+# The same sections with [optimize] last, so that an appended key is in it.
+OPTIMIZE_LAST_INI = OPTIMIZE_MATCH + OPTIMIZE_SECTION
+
+
+@pytest.fixture
+def played(monkeypatch):
+    """Replace the match objective of optimize with a deterministic fake
+    of the knots and the evaluation seed; returns the (knots, seed) of
+    each call."""
+    calls = []
+
+    def fake_winrate(knots, kind, base, horizon=None, seed=None, workers=1):
+        calls.append((knots, seed))
+        return 0.5 - 0.01 * sum((k + 3.0) ** 2 for k in knots) + seed % 97 / 1e4
+
+    monkeypatch.setattr("mctsopt.cli.winrate_objective", fake_winrate)
+    return calls
 
 
 class TestDumpProfile:
@@ -229,29 +271,22 @@ class TestTournament:
 
 
 class TestOptimize:
-    STUB = """
-[optimize]
-objective = stub
-m = 3
-lo = -10
-hi = -4
-n_init = 2
-n_iter = 4
-seed = 5
-"""
-
-    def test_stub_history_has_exactly_n_iter_rows(self, tmp_path):
-        config = write_config(tmp_path, "o.ini", self.STUB)
+    def test_history_has_exactly_n_iter_rows(self, tmp_path, played):
+        config = write_config(tmp_path, "o.ini", OPTIMIZE_MATCH_INI)
         out = str(tmp_path / "o1")
         assert run_cli("optimize", "--config", config, "--out", out) == 0
         rows = read_rows(os.path.join(out, "history.csv"))
         assert rows[0] == ["eval", "knots", "win_rate", "games", "timestamp"]
-        assert len(rows) == 5
+        assert [r[0] for r in rows[1:]] == ["0", "1", "2"]
+        assert all(r[3] == "4" for r in rows[1:])     # games column
+        # Evaluation i plays at derive([optimize] seed, "eval", i).
+        assert [seed for _, seed in played] == [derive(0, "eval", i)
+                                                for i in range(3)]
         best = json.load(open(os.path.join(out, "best.json")))
-        assert len(best["knots"]) == 3
+        assert len(best["knots"]) == 2
 
-    def test_stub_reruns_identical_modulo_timestamp(self, tmp_path):
-        config = write_config(tmp_path, "o.ini", self.STUB)
+    def test_reruns_identical_modulo_timestamp(self, tmp_path, played):
+        config = write_config(tmp_path, "o.ini", OPTIMIZE_MATCH_INI)
         out1, out2 = str(tmp_path / "oa"), str(tmp_path / "ob")
         run_cli("optimize", "--config", config, "--out", out1)
         run_cli("optimize", "--config", config, "--out", out2)
@@ -259,8 +294,8 @@ seed = 5
         h2 = strip_timestamps(open(os.path.join(out2, "history.csv")).read())
         assert h1 == h2
 
-    def test_best_profile_printed_as_tuple(self, tmp_path, capsys):
-        config = write_config(tmp_path, "o.ini", self.STUB)
+    def test_best_profile_printed_as_tuple(self, tmp_path, capsys, played):
+        config = write_config(tmp_path, "o.ini", OPTIMIZE_MATCH_INI)
         run_cli("optimize", "--config", config, "--out", str(tmp_path / "oc"))
         out = capsys.readouterr().out
         assert re.search(r"best softmax profile: \(-?\d", out)
@@ -310,10 +345,7 @@ depth = 3
         assert histories[0] == histories[1]
 
     def test_box_beyond_knot_limit_rejected_before_any_game(
-            self, tmp_path, capsys, monkeypatch):
-        played = []
-        monkeypatch.setattr("mctsopt.cli.winrate_objective",
-                            lambda *a, **kw: played.append(a) or 0.5)
+            self, tmp_path, capsys, played):
         config = write_config(tmp_path, "o.ini", """
 [optimize]
 kind = softmax
@@ -464,45 +496,32 @@ simulations = 10
             err = self.analyze_error(tmp_path, capsys, self.SEARCH + keys)
             assert "bad.ini:7: bad backup spec: " in err
 
-    def test_stub_noise_sd_is_unknown(self, tmp_path, capsys):
+    def test_noise_sd_is_unknown(self, tmp_path, capsys, played):
         config = write_config(tmp_path, "bad.ini",
-                              TestOptimize.STUB + "stub_noise_sd = 0.1\n")
+                              OPTIMIZE_LAST_INI + "noise_sd = 0.1\n")
         assert run_cli("optimize", "--config", config,
                        "--out", str(tmp_path / "x")) == 2
         err = capsys.readouterr().err
-        assert "bad.ini:10:" in err and "stub_noise_sd" in err
+        assert "bad.ini:21:" in err and "noise_sd" in err
+        assert played == []
 
-    def test_nan_bound(self, tmp_path, capsys):
+    def test_nan_bound(self, tmp_path, capsys, played):
         config = write_config(tmp_path, "bad.ini",
-                              TestOptimize.STUB.replace("lo = -10", "lo = nan"))
+                              OPTIMIZE_MATCH_INI.replace("lo = -6", "lo = nan"))
         out = str(tmp_path / "x")
         assert run_cli("optimize", "--config", config, "--out", out) == 2
         err = capsys.readouterr().err
         assert "bad.ini:2:" in err and "finite" in err
+        assert played == []
         assert not os.path.exists(os.path.join(out, "history.csv"))
 
-
-OPTIMIZE_MATCH_INI = """
-[optimize]
-kind = softmax
-m = 2
-lo = -6
-hi = -1
-n_init = 2
-n_iter = 3
-
-[match]
-games = 4
-sims_per_move = 20
-
-[pool]
-branching = 3
-depth = 3
-
-[engine_a]
-
-[engine_b]
-"""
+    def test_descriptor_holds_only_game(self, tmp_path, capsys):
+        write_config(tmp_path, "d.ini",
+                     "[game]\nbranching = 3\ndepth = 3\n\n[junk]\nfoo = 1\n")
+        err = self.analyze_error(
+            tmp_path, capsys, f"[game]\ndescriptor = {tmp_path / 'd.ini'}\n\n"
+                              "[search]\nsimulations = 10\n")
+        assert "d.ini:5: unknown section [junk] in a game descriptor" in err
 
 
 # Keys that a run would not read: (subcommand, config, descriptor d.ini).
@@ -530,19 +549,18 @@ IGNORED_KEYS = {
         "analyze", "[game]\ndescriptor = {dir}/d.ini\n\n[search]\nsimulations = 10\n",
         "[game]\nbranching = 3\ndepth = 3\ndescriptor = {dir}/d.ini\n"),
     # The optimiser proposes one expected-improvement point per round.
-    "no-batch": ("optimize", TestOptimize.STUB + "batch = 2\n"),
-    "no-acquisition": ("optimize", TestOptimize.STUB + "acquisition = UCB\n"),
-    "no-kappa": ("optimize", TestOptimize.STUB + "kappa = 2.0\n"),
-    "no-candidate-count": ("optimize", TestOptimize.STUB + "candidate_count = 512\n"),
+    "no-batch": ("optimize", OPTIMIZE_LAST_INI + "batch = 2\n"),
+    "no-acquisition": ("optimize", OPTIMIZE_LAST_INI + "acquisition = UCB\n"),
+    "no-kappa": ("optimize", OPTIMIZE_LAST_INI + "kappa = 2.0\n"),
+    "no-candidate-count": ("optimize", OPTIMIZE_LAST_INI + "candidate_count = 512\n"),
+    # optimize always scores a profile by a match.
+    "no-objective": ("optimize", OPTIMIZE_LAST_INI + "objective = match\n"),
 }
 
 
 @pytest.mark.parametrize("case", IGNORED_KEYS)
 def test_key_the_run_would_not_read_is_rejected(case, tmp_path, capsys,
-                                                 monkeypatch):
-    played = []
-    monkeypatch.setattr("mctsopt.cli.winrate_objective",
-                        lambda *a, **kw: played.append(a) or 0.5)
+                                                 played):
     subcommand, *texts = IGNORED_KEYS[case]
     files = dict(zip(("c.ini", "d.ini"), texts))
     for name, text in files.items():
@@ -584,23 +602,24 @@ BAD_VALUES = {
         "optimize", OPTIMIZE_MATCH_INI.replace("n_iter = 3\n",
                                                "n_iter = 3\nnoise_var = nan\n"),
         "[optimize]", "noise_var must be non-negative"),
-    "m-zero-stub": ("optimize", TestOptimize.STUB.replace("m = 3", "m = 0"),
-                    "m = 0", "m must be at least 2"),
+    "m-zero": ("optimize", OPTIMIZE_MATCH_INI.replace("m = 2", "m = 0"),
+               "m = 0", "m must be at least 2"),
     "m-one-match": ("optimize", OPTIMIZE_MATCH_INI.replace("m = 2", "m = 1"),
                     "m = 1", "m must be at least 2"),
     "horizon-zero-match": (
         "optimize", OPTIMIZE_MATCH_INI.replace("n_iter = 3\n",
                                                "n_iter = 3\nhorizon = 0\n"),
         "horizon = 0", "horizon must be >= 1"),
+    "hi-beyond-knot-limit-monotone": (
+        "optimize", OPTIMIZE_MATCH_INI.replace("kind = softmax", "kind = monotone")
+                                      .replace("hi = -1", "hi = 710"),
+        "hi = 710", "knots at hi = 710.0 give no monotone profile"),
 }
 
 
 @pytest.mark.parametrize("case", BAD_VALUES)
 def test_bad_value_is_rejected_at_its_anchor(case, tmp_path, capsys,
-                                             monkeypatch):
-    played = []
-    monkeypatch.setattr("mctsopt.cli.winrate_objective",
-                        lambda *a, **kw: played.append(a) or 0.5)
+                                             played):
     subcommand, text, anchored, message = BAD_VALUES[case]
     config = write_config(tmp_path, "c.ini", text)
     out = str(tmp_path / "out")
@@ -609,6 +628,43 @@ def test_bad_value_is_rejected_at_its_anchor(case, tmp_path, capsys,
     assert f"c.ini:{line}: {message}" in capsys.readouterr().err
     assert played == []
     assert os.listdir(out) == []              # no history.csv, nor any output
+
+
+# A minimal valid config of each subcommand: section -> its lines.
+MINIMAL = {
+    "gen-game": {"game": "branching = 3\ndepth = 3\n"},
+    "analyze": {"game": "branching = 3\ndepth = 3\n",
+                "search": "simulations = 10\n"},
+    "tournament": {"match": "games = 4\nsims_per_move = 20\n",
+                   "pool": "branching = 3\ndepth = 3\n",
+                   "engine_a": "", "engine_b": ""},
+    "dump-profile": {"profile": "knots = (-2, -1)\nhorizon = 8\n"},
+}
+MINIMAL["optimize"] = {"optimize": "", **MINIMAL["tournament"]}
+
+
+@pytest.mark.parametrize("command, section", [
+    (command, section) for command, (_, sections, _) in _COMMANDS.items()
+    for section in sorted(sections)])
+def test_every_allowed_section_is_read(command, section, tmp_path, capsys,
+                                       monkeypatch, played):
+    """A key no table declares, in any section a subcommand allows, exits 2
+    at its line before any game."""
+    for name in ("run_match", "run_search"):
+        monkeypatch.setattr(f"mctsopt.cli.{name}",
+                            lambda *a, **kw: played.append(a))
+    sections = MINIMAL[command]
+    assert set(sections) == _COMMANDS[command][1]
+    text = "".join(f"[{name}]\n{body}" + ("bogus = 1\n" if name == section else "")
+                   + "\n" for name, body in sections.items())
+    config = write_config(tmp_path, "c.ini", text)
+    out = str(tmp_path / "out")
+    assert run_cli(command, "--config", config, "--out", out) == 2
+    line = text.splitlines().index("bogus = 1") + 1
+    assert f"c.ini:{line}: unknown key 'bogus' in [{section}]" in \
+        capsys.readouterr().err
+    assert played == []
+    assert os.listdir(out) == []
 
 
 def _describe(table):

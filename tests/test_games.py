@@ -15,7 +15,6 @@ from mctsopt.games import (NodeLimitError, NoisyOracleEvaluator, PlayerRole,
                            evaluate, generate_synthetic_tree,
                            minimax_value, reachable_states, trap_priors)
 from mctsopt.games import oracle
-from mctsopt.games.oracle import TTT_POSITIONS
 from mctsopt.games.synthetic import MAX_ORACLE_NODES
 from mctsopt.games.tictactoe import TicTacToeState
 
@@ -204,34 +203,20 @@ class TestTicTacToe:
 
 
 class TestOracleCeiling:
-    def test_refuses_instead_of_truncating(self):
+    def test_refuses_instead_of_truncating(self, monkeypatch):
         with pytest.raises(NodeLimitError):
-            minimax_value(empty_board(), node_limit=10)
+            oracle._search(empty_board(), 10, {})
         root = generate_synthetic_tree(SyntheticTreeSpec(2, 5, seed=0))
+        monkeypatch.setattr(oracle, "MAX_ORACLE_NODES", 10)
         with pytest.raises(NodeLimitError):
-            minimax_value(root, node_limit=10)
-
-    def test_below_the_whole_game_tictactoe_still_refuses(self):
-        minimax_value(empty_board())           # the solved table exists
-        with pytest.raises(NodeLimitError):
-            minimax_value(empty_board(), node_limit=10)
-        with pytest.raises(NodeLimitError):
-            minimax_value(empty_board(), node_limit=TTT_POSITIONS - 1)
+            minimax_value(root)
 
 
 class TestSolvedTicTacToe:
-    def test_positions_constant_counts_reachable_states(self):
-        assert TTT_POSITIONS == len(reachable_states())
-
     def test_table_equals_uncached_search_everywhere(self):
-        # A node limit below the whole game bypasses the table; where the
-        # search would not fit under it, a fresh memo answers instead.
         for state in reachable_states():
-            try:
-                direct = minimax_value(state, node_limit=TTT_POSITIONS - 1)
-            except NodeLimitError:
-                direct = oracle._search(state, MAX_ORACLE_NODES, {})
-            assert minimax_value(state) == direct
+            assert minimax_value(state) == \
+                oracle._search(state, MAX_ORACLE_NODES, {})
 
     def test_wrong_mover_is_searched_not_looked_up(self):
         # O to move on a board where X should move: not a reachable
