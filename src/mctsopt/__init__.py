@@ -20,7 +20,7 @@ from .games import (GameState, NodeLimitError, NoisyOracleEvaluator, PlayerRole,
                     empty_board, evaluate, generate_synthetic_tree,
                     minimax_value, reachable_states, trap_priors)
 from .gp import (ConditioningError, GPModel, Matern52Kernel,
-                 expected_improvement, fit, kernel_eval)
+                 expected_improvement, fit)
 from .search import (SearchConfig, SearchNode, SearchResult, run_search,
                      select_child)
 from .tournament import (GameRecord, MatchConfig, MatchResult, SyntheticPool,

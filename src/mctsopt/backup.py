@@ -39,9 +39,6 @@ class _AveragingBackup(BackupStrategy):
         self._table = [float(w) for w in table]
         self._last = len(self._table) - 1
 
-    def weight(self, n: int) -> float:
-        return self._table[n] if n < self._last else self._table[self._last]
-
     def backpropagate(self, path, value: float) -> None:
         table = self._table
         last = self._last

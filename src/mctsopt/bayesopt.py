@@ -34,9 +34,9 @@ class OptimizeConfig:
     """Settings for one optimization run."""
 
     bounds: tuple                      # ((lo, hi), ...) per dimension
+    noise_var: float                   # GP observation noise
     n_init: int = 8
     n_iter: int = 40
-    noise_var: float = 1e-4
     seed: int = 0
 
     def __post_init__(self):
@@ -120,13 +120,10 @@ def _candidates(model: GPModel, config: OptimizeConfig) -> np.ndarray:
     return np.vstack(pts)
 
 
-def propose_next(model: GPModel, config: OptimizeConfig,
-                 candidates=None) -> np.ndarray:
-    """The candidate of highest expected improvement over the best
-    observed value; ``candidates`` (rows of points) replaces the seeded
-    candidate set."""
-    cands = _candidates(model, config) if candidates is None \
-        else np.atleast_2d(np.asarray(candidates, dtype=float))
+def propose_next(model: GPModel, config: OptimizeConfig) -> np.ndarray:
+    """The seeded candidate of highest expected improvement over the best
+    observed value."""
+    cands = _candidates(model, config)
     mu, var = model.posterior_batch(cands)
     ei = expected_improvement(mu, np.sqrt(var), float(np.max(model.t)))
     return cands[int(np.argmax(ei))]

@@ -56,6 +56,9 @@ _SYNTHETIC_KEYS = {key: (convert, getattr(SyntheticTreeSpec, key))
     ("seed", int))}
 _GAME_KEYS = {"kind": (str, SyntheticTreeSpec.kind), "trap_actions": (str, None),
               **_SYNTHETIC_KEYS}
+# The keys of a monotone profile: [profile] and a monotone backup read them.
+_PROFILE_KEYS = {"knots": (str, REQUIRED), "horizon": (int, REQUIRED),
+                 "w0": (float, 1.0)}
 # The kinds an engine section chooses with its evaluator and backup keys
 # (names are case-insensitive): kind -> (builder, which takes the values
 # read from the section, and the table of the keys that kind reads).  The
@@ -82,8 +85,7 @@ _KINDS = {
         "monotone": (
             lambda keys: MonotoneBackup(build_weight_table(
                 parse_knots(keys["knots"]), keys["horizon"], keys["w0"])),
-            {"knots": (str, REQUIRED), "horizon": (int, REQUIRED),
-             "w0": (float, 1.0)}),
+            _PROFILE_KEYS),
         "softmax": (
             lambda keys: SoftmaxBackup.from_knots(parse_knots(keys["knots"]),
                                                   keys["horizon"]),
@@ -114,8 +116,6 @@ _OPTIMIZE_KEYS = {"kind": (str, "softmax"), "m": (int, 6), "lo": (float, -10.0),
                   **{key: (convert, getattr(OptimizeConfig, key))
                      for key, convert in (
                          ("n_init", int), ("n_iter", int), ("seed", int))}}
-_PROFILE_KEYS = {"knots": (str, REQUIRED), "horizon": (int, REQUIRED),
-                 "w0": (float, 1.0)}
 
 
 def _load_game_section(config: Config, section: str) -> dict:
@@ -446,6 +446,9 @@ def build_parser() -> argparse.ArgumentParser:
 def dispatch(argv) -> int:
     args = build_parser().parse_args(argv)
     handler, allowed_sections, _ = _COMMANDS[args.command]
+    if args.workers < 1:
+        print("error: --workers must be at least 1", file=sys.stderr)
+        return 2
     try:
         config = read_config(args.config)
         for name in config.sections:

@@ -1,10 +1,11 @@
 """Exact minimax oracle and the two leaf evaluators.
 
-The oracle refuses (rather than truncates) when a game would exceed the
-node ceiling, so a returned value is always exact.  Tic-tac-toe is solved
-whole on first use and then answered by lookup.  The noisy oracle
-evaluator stands in for a learned value function: exact value plus
-clamped Gaussian noise, keyed by (state, seed) so concurrent searches
+Synthetic trees compute their exact values bottom-up on first use.  Other
+games are searched, and the search refuses (rather than truncates) when it
+would exceed the node ceiling, so a returned value is always exact.
+Tic-tac-toe is solved whole on first use and then answered by lookup.  The
+noisy oracle evaluator stands in for a learned value function: exact value
+plus clamped Gaussian noise, keyed by (state, seed) so concurrent searches
 see identical noise.
 """
 
@@ -22,20 +23,16 @@ from .tictactoe import TicTacToeState, empty_board
 def minimax_value(state: GameState) -> float:
     """Exact game value of ``state`` in [0, 1] from MAX's perspective.
 
-    Synthetic trees answer from cached bottom-up level arrays.  Reachable
-    tic-tac-toe positions answer from a table of every such position,
-    solved once on first use.  Everything else (other games, unreachable
-    boards) runs a memoized depth-first search.  A game beyond
-    MAX_ORACLE_NODES raises NodeLimitError instead of returning an
+    Synthetic trees answer from cached bottom-up level arrays; a tree
+    already holds every leaf in memory, so no node ceiling applies.
+    Reachable tic-tac-toe positions answer from a table of every such
+    position, solved once on first use.  Everything else (other games,
+    unreachable boards) runs a memoized depth-first search, which raises
+    NodeLimitError beyond MAX_ORACLE_NODES states instead of returning an
     approximate value.
     """
     if isinstance(state, SyntheticTreeState):
-        tree = state.tree
-        total = (tree.branching**(tree.depth + 1) - 1) // (tree.branching - 1)
-        if total > MAX_ORACLE_NODES:
-            raise NodeLimitError(
-                f"{total} nodes exceed the {MAX_ORACLE_NODES} ceiling")
-        return tree.node_value(state.depth, state.index)
+        return state.tree.node_value(state.depth, state.index)
 
     if isinstance(state, TicTacToeState):
         value = _solved_tictactoe().get((state.xs, state.os, state.x_to_move))
@@ -112,7 +109,7 @@ class NoisyOracleEvaluator:
 
     kind = "noisy_oracle"
 
-    def __init__(self, noise_sd: float = 0.0, seed: int = 0):
+    def __init__(self, noise_sd: float, seed: int):
         if not noise_sd >= 0:
             raise ValueError("noise_sd must be non-negative")
         self.noise_sd = float(noise_sd)

@@ -62,11 +62,6 @@ class Matern52Kernel:
         return self.amplitude * (1.0 + s + (5.0 / 3.0) * r * r) * np.exp(-s)
 
 
-def kernel_eval(x, y, kernel: Matern52Kernel) -> float:
-    """Scalar kernel value; equals the amplitude when x == y."""
-    return float(kernel.matrix(np.atleast_2d(x), np.atleast_2d(y))[0, 0])
-
-
 class GPModel:
     """Fitted Gaussian process; query with posterior()."""
 
@@ -103,13 +98,13 @@ class GPModel:
         return mu, np.maximum(var, 0.0)
 
 
-def fit(X, t, kernel: Matern52Kernel, center: bool = True) -> GPModel:
+def fit(X, t, kernel: Matern52Kernel) -> GPModel:
     """Fit an exact GP to inputs X (n x d) and targets t (n).
 
-    Targets are centered by their mean unless ``center`` is False; the
-    mean is added back in posterior predictions, so far from the data the
-    posterior reverts to it.  Factorization retries with jitter escalating
-    to 1e-6 before giving up with a ConditioningError.
+    Targets are centered by their mean, which is added back in posterior
+    predictions, so far from the data the posterior reverts to it.
+    Factorization retries with jitter escalating to 1e-6 before giving up
+    with a ConditioningError.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     t = np.asarray(t, dtype=float).ravel()
@@ -125,7 +120,7 @@ def fit(X, t, kernel: Matern52Kernel, center: bool = True) -> GPModel:
         if np.min(diffs) == 0.0:
             raise ValueError("duplicate inputs need a positive noise variance")
 
-    t_mean = float(np.mean(t)) if center else 0.0
+    t_mean = float(np.mean(t))
     K = kernel.matrix(X, X)
     np.fill_diagonal(K, kernel.amplitude + kernel.noise_var)
     last_exc = None

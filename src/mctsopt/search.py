@@ -122,7 +122,7 @@ def _select_index(node: SearchNode, use_ucb1: bool, c: float) -> int:
     return best_i
 
 
-def select_child(parent: SearchNode, policy: str = "UCB1", c: float = 1.0):
+def select_child(parent: SearchNode, policy: str, c: float):
     """Tree-policy action at an expanded node."""
     if policy not in POLICIES:
         raise ValueError(f"policy must be one of {POLICIES}")

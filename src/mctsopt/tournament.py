@@ -73,11 +73,11 @@ class MatchResult:
     ci95: tuple[float, float]
 
 
-def wilson_interval(effective_wins: float, games: int,
-                    z: float = _Z95) -> tuple[float, float]:
-    """Wilson score interval for a proportion; robust at small counts."""
+def wilson_interval(effective_wins: float, games: int) -> tuple[float, float]:
+    """95% Wilson score interval for a proportion; robust at small counts."""
     if games <= 0:
         raise ValueError("games must be positive")
+    z = _Z95
     p = effective_wins / games
     denom = 1.0 + z * z / games
     center = (p + z * z / (2 * games)) / denom
@@ -152,17 +152,16 @@ def run_match(config: MatchConfig, workers: int = 1) -> tuple[MatchResult, list[
     return result, records
 
 
-def winrate_objective(knots, kind: str, base: MatchConfig,
-                      horizon: int | None = None, seed: int | None = None,
-                      workers: int = 1) -> float:
-    """Win-rate of a weight-profile engine against standard backup.
+def winrate_objective(knots, kind: str, base: MatchConfig, horizon: int,
+                      seed: int, workers: int = 1) -> float:
+    """Win-rate of a weight-profile engine against standard backup, in
+    ``base`` played at match seed ``seed``.
 
     ``kind`` selects the strategy family: "monotone" builds a w0 = 1
-    averaging profile, "softmax" a w0 = 0 sharpening profile.  The engine
-    on the B side always runs the standard backup.  Profile construction
-    errors propagate to the caller.
+    averaging profile, "softmax" a w0 = 0 sharpening profile, each over
+    ``horizon`` visits.  The engine on the B side always runs the standard
+    backup.  Profile construction errors propagate to the caller.
     """
-    horizon = base.sims_per_move if horizon is None else horizon
     if kind == "monotone":
         strategy = MonotoneBackup.from_knots(knots, horizon)
     elif kind == "softmax":
@@ -173,7 +172,7 @@ def winrate_objective(knots, kind: str, base: MatchConfig,
         base,
         engine_a=replace(base.engine_a, backup=strategy),
         engine_b=replace(base.engine_b, backup=StandardBackup()),
-        seed=base.seed if seed is None else seed,
+        seed=seed,
     )
     result, _ = run_match(match, workers=workers)
     return result.win_rate_a

@@ -120,13 +120,6 @@ class TestMonotone:
 
 
 class TestFeedback:
-    def test_weights_match_module_function(self):
-        from mctsopt.weights import feedback_weight
-        s = FeedbackBackup("GAY", final_ratio=64.0, horizon=800)
-        for t in (0, 1, 99, 100, 400, 799, 800):
-            assert s.weight(t) == feedback_weight("GAY", t, 800, 64.0)
-        assert s.weight(5000) == s.weight(800)
-
     def test_rejects_unknown_profile(self):
         with pytest.raises(ValueError):
             FeedbackBackup("ABC", 8.0, 100)

@@ -22,18 +22,19 @@ def quadratic_with_noise(center, sd, seed):
 
 class TestConfigValidation:
     def test_rejects_bad_settings(self):
-        good = dict(bounds=((0.0, 1.0),), n_init=2, n_iter=4)
+        good = dict(bounds=((0.0, 1.0),), n_init=2, n_iter=4, noise_var=1e-4)
         OptimizeConfig(**good)
         with pytest.raises(ValueError):
-            OptimizeConfig(bounds=((1.0, 1.0),))
+            OptimizeConfig(bounds=((1.0, 1.0),), noise_var=1e-4)
         for bounds in (((float("nan"), 1.0),), ((0.0, float("nan")),),
                        ((float("-inf"), 1.0),), ((0.0, float("inf")),)):
             with pytest.raises(ValueError):
-                OptimizeConfig(bounds=bounds)
+                OptimizeConfig(bounds=bounds, noise_var=1e-4)
         with pytest.raises(ValueError):
-            OptimizeConfig(bounds=((0.0, 1.0),), n_init=1)
+            OptimizeConfig(bounds=((0.0, 1.0),), n_init=1, noise_var=1e-4)
         with pytest.raises(ValueError):
-            OptimizeConfig(bounds=((0.0, 1.0),), n_init=8, n_iter=4)
+            OptimizeConfig(bounds=((0.0, 1.0),), n_init=8, n_iter=4,
+                           noise_var=1e-4)
         for noise_var in (-1.0, float("nan")):
             with pytest.raises(ValueError):
                 OptimizeConfig(bounds=((0.0, 1.0),), noise_var=noise_var)
@@ -47,11 +48,12 @@ class TestProposeNext:
         return config, model
 
     def test_identical_candidates_returned(self):
+        # The proposal is one of the seeded candidates, returned as is.
         config, model = self.setup_model()
-        cands = np.full((10, 1), 0.25)
-        got = propose_next(model, config, candidates=cands)
+        got = propose_next(model, config)
         assert got.shape == (1,)
-        assert got[0] == 0.25
+        assert any(np.array_equal(got, row)
+                   for row in bayesopt._candidates(model, config))
 
     def test_proposal_matches_grid_search_oracle(self):
         # Unique high-EI region; the proposal must be as good as a dense
@@ -70,7 +72,7 @@ class TestProposeNext:
 class TestLoop:
     def test_constant_objective_runs_full_budget(self):
         config = OptimizeConfig(bounds=((0.0, 1.0), (0.0, 1.0)),
-                                n_init=4, n_iter=12, seed=3)
+                                n_init=4, n_iter=12, seed=3, noise_var=1e-4)
         best_x, history = bayesopt_loop(lambda x: 0.7, config)
         assert len(history) == 12
         assert all(e.value == 0.7 for e in history)
@@ -79,12 +81,12 @@ class TestLoop:
         # One point per round, so the surrogate holds only real results and
         # the candidate draws are keyed by how many there are.
         config = OptimizeConfig(bounds=((0.0, 1.0),) * 2, n_init=3, n_iter=7,
-                                seed=2)
+                                seed=2, noise_var=1e-4)
         evaluated, fitted = [], []
 
-        def spy(model, cfg, candidates=None):
+        def spy(model, cfg):
             fitted.append((model.n, len(evaluated)))
-            return propose_next(model, cfg, candidates)
+            return propose_next(model, cfg)
 
         monkeypatch.setattr(bayesopt, "propose_next", spy)
         bayesopt_loop(lambda x: evaluated.append(x) or float(x[0]), config)
@@ -100,7 +102,8 @@ class TestLoop:
         assert [e.value for e in h1] == [e.value for e in h2]
 
     def test_nonfinite_objective_penalized(self):
-        config = OptimizeConfig(bounds=((0.0, 1.0),), n_init=2, n_iter=6, seed=1)
+        config = OptimizeConfig(bounds=((0.0, 1.0),), n_init=2, n_iter=6, seed=1,
+                                noise_var=1e-4)
         calls = []
 
         def objective(x):
@@ -139,7 +142,7 @@ class TestLoop:
 
     def test_random_search_deterministic(self):
         config = OptimizeConfig(bounds=((0.0, 1.0),) * 2, n_init=2,
-                                n_iter=9, seed=4)
+                                n_iter=9, seed=4, noise_var=1e-4)
         obj = lambda x: float(np.sum(x))
         _, h1 = random_search(obj, config)
         _, h2 = random_search(obj, config)

@@ -89,7 +89,7 @@ def played(monkeypatch):
     each call."""
     calls = []
 
-    def fake_winrate(knots, kind, base, horizon=None, seed=None, workers=1):
+    def fake_winrate(knots, kind, base, horizon, seed, workers):
         calls.append((knots, seed))
         return 0.5 - 0.01 * sum((k + 3.0) ** 2 for k in knots) + seed % 97 / 1e4
 
@@ -388,6 +388,17 @@ typo_key = 5
         err = capsys.readouterr().err
         assert "bad.ini:5" in err
         assert "typo_key" in err
+
+    def test_workers_below_one_rejected_before_the_config(self, tmp_path,
+                                                          capsys):
+        # The config does not exist: reading it would give another error.
+        out = tmp_path / "x"
+        for workers in ("0", "-3"):
+            assert run_cli("dump-profile", "--config", str(tmp_path / "nope.ini"),
+                           "--out", str(out), "--workers", workers) == 2
+            assert capsys.readouterr().err == \
+                "error: --workers must be at least 1\n"
+        assert not out.exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert run_cli("dump-profile", "--config",

@@ -6,8 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from mctsopt.gp import (Matern52Kernel, expected_improvement, fit,
-                        kernel_eval)
+from mctsopt.gp import Matern52Kernel, expected_improvement, fit
 
 
 def separated_points(rng, n, d, lo, hi, min_dist):
@@ -25,7 +24,8 @@ def separated_points(rng, n, d, lo, hi, min_dist):
 
 
 def dense_posterior(X, t, kernel, x_star):
-    """Oracle: posterior by explicit matrix inverse, no centering."""
+    """Oracle: posterior by explicit matrix inverse, with the targets
+    centred on their mean, t_mean + r^T (K + noise I)^-1 (t - t_mean)."""
     X = np.atleast_2d(X)
     ell = np.asarray(kernel.lengthscales)
 
@@ -39,7 +39,8 @@ def dense_posterior(X, t, kernel, x_star):
     K += kernel.noise_var * np.eye(n)
     Kinv = np.linalg.inv(K)
     r = np.array([k(X[i], np.asarray(x_star)) for i in range(n)])
-    mu = r @ Kinv @ t
+    t_mean = np.mean(t)
+    mu = t_mean + r @ Kinv @ (t - t_mean)
     var = kernel.amplitude + kernel.noise_var - r @ Kinv @ r
     return mu, var
 
@@ -47,27 +48,27 @@ def dense_posterior(X, t, kernel, x_star):
 class TestKernel:
     def test_diagonal_equals_amplitude(self):
         k = Matern52Kernel(amplitude=2.5, lengthscales=(1.0, 3.0))
-        assert kernel_eval([0.2, -1.0], [0.2, -1.0], k) == 2.5
+        assert k.matrix([0.2, -1.0], [0.2, -1.0])[0, 0] == 2.5
 
     def test_unit_distance_closed_form(self):
         k = Matern52Kernel(amplitude=1.0, lengthscales=(1.0,))
         expected = (1 + math.sqrt(5) + 5.0 / 3.0) * math.exp(-math.sqrt(5))
-        assert kernel_eval([0.0], [1.0], k) == pytest.approx(expected, rel=1e-14)
+        assert k.matrix([0.0], [1.0])[0, 0] == pytest.approx(expected, rel=1e-14)
 
     def test_lengthscale_rescaling(self):
         k1 = Matern52Kernel(amplitude=1.0, lengthscales=(1.0,))
         k7 = Matern52Kernel(amplitude=1.0, lengthscales=(7.0,))
-        assert kernel_eval([0.0], [7.0], k7) == pytest.approx(
-            kernel_eval([0.0], [1.0], k1), rel=1e-14)
+        assert k7.matrix([0.0], [7.0])[0, 0] == pytest.approx(
+            k1.matrix([0.0], [1.0])[0, 0], rel=1e-14)
 
     def test_long_distance_decay(self):
         k = Matern52Kernel(amplitude=1.0, lengthscales=(1.0,))
-        assert kernel_eval([0.0], [50.0], k) < 1e-15
+        assert k.matrix([0.0], [50.0])[0, 0] < 1e-15
 
     def test_symmetry(self):
         k = Matern52Kernel(amplitude=1.3, lengthscales=(2.0, 0.5))
         a, b = [0.1, 0.2], [1.4, -0.3]
-        assert kernel_eval(a, b, k) == pytest.approx(kernel_eval(b, a, k))
+        assert k.matrix(a, b)[0, 0] == pytest.approx(k.matrix(b, a)[0, 0])
 
     def test_gram_matrices_are_psd(self):
         rng = np.random.default_rng(6)
@@ -80,9 +81,9 @@ class TestKernel:
     def test_input_validation(self):
         k = Matern52Kernel(amplitude=1.0, lengthscales=(1.0, 1.0))
         with pytest.raises(ValueError):
-            kernel_eval([0.0], [1.0], k)
+            k.matrix([0.0], [1.0])
         with pytest.raises(ValueError):
-            kernel_eval([0.0, np.nan], [1.0, 0.0], k)
+            k.matrix([0.0, np.nan], [1.0, 0.0])
         with pytest.raises(ValueError):
             Matern52Kernel(amplitude=0.0, lengthscales=(1.0,))
         with pytest.raises(ValueError):
@@ -95,18 +96,20 @@ class TestKernel:
 
 class TestFit:
     def test_one_point_solve_vector(self):
+        # The one target is its own mean, so its centred value is 0.
         k = Matern52Kernel(amplitude=4.0, lengthscales=(1.0,))
-        model = fit([[0.0]], [2.0], k, center=False)
-        assert model.solve_vec == pytest.approx([0.5])
+        model = fit([[0.0]], [2.0], k)
+        assert model.t_mean == 2.0
+        assert model.solve_vec == pytest.approx([0.0])
 
     def test_solve_identity(self):
         rng = np.random.default_rng(1)
         X = rng.uniform(size=(12, 3))
         t = rng.normal(size=12)
         k = Matern52Kernel(amplitude=1.0, lengthscales=(1.0,) * 3)
-        model = fit(X, t, k, center=False)
+        model = fit(X, t, k)
         K = k.matrix(X, X)
-        np.testing.assert_allclose(K @ model.solve_vec, t, atol=1e-8)
+        np.testing.assert_allclose(K @ model.solve_vec, t - np.mean(t), atol=1e-8)
 
     def test_duplicates_rejected_without_noise(self):
         k = Matern52Kernel(amplitude=1.0, lengthscales=(1.0,))
@@ -131,12 +134,11 @@ class TestPosterior:
         X = rng.uniform(-1, 1, size=(8, 2))
         t = rng.normal(size=8)
         k = Matern52Kernel(amplitude=1.5, lengthscales=(1.0, 1.0))
-        for center in (True, False):
-            model = fit(X, t, k, center=center)
-            for i in range(8):
-                mu, var = model.posterior(X[i])
-                assert mu == pytest.approx(t[i], abs=1e-7)
-                assert var <= 1e-7
+        model = fit(X, t, k)
+        for i in range(8):
+            mu, var = model.posterior(X[i])
+            assert mu == pytest.approx(t[i], abs=1e-7)
+            assert var <= 1e-7
 
     def test_far_query_reverts_to_prior(self):
         k = Matern52Kernel(amplitude=2.0, lengthscales=(1.0,))
@@ -166,7 +168,7 @@ class TestPosterior:
             k = Matern52Kernel(amplitude=float(rng.uniform(0.5, 3.0)),
                                lengthscales=tuple(rng.uniform(0.5, 2.0, d)),
                                noise_var=float(rng.choice([0.0, 0.01])))
-            model = fit(X, t, k, center=False)
+            model = fit(X, t, k)
             for _ in range(5):
                 x_star = rng.uniform(-2, 2, size=d)
                 mu, var = model.posterior(x_star)

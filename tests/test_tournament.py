@@ -164,15 +164,17 @@ class TestWinrateObjective:
 
     def test_reproducible(self):
         knots = (-3.0, -2.0, -1.0)
-        a = winrate_objective(knots, "softmax", self.BASE, horizon=60)
-        b = winrate_objective(knots, "softmax", self.BASE, horizon=60)
+        a = winrate_objective(knots, "softmax", self.BASE, horizon=60,
+                              seed=self.BASE.seed)
+        b = winrate_objective(knots, "softmax", self.BASE, horizon=60,
+                              seed=self.BASE.seed)
         assert a == b
 
     def test_degenerate_softmax_splits_against_standard(self):
         # w stays ~1e-304: parent updates are visit-weighted means, which
         # behave statistically like standard backup.
         rate = winrate_objective((-700.0,) * 3, "softmax", self.BASE,
-                                 horizon=60)
+                                 horizon=60, seed=self.BASE.seed)
         lo, hi = wilson_interval(rate * self.BASE.games, self.BASE.games)
         assert lo <= 0.5 <= hi
 
@@ -180,13 +182,15 @@ class TestWinrateObjective:
         # Constant zero knots give weight exactly 1 per visit: the engines
         # are bitwise identical, so mirrored pairs split every point.
         rate = winrate_objective((0.0, 0.0, 0.0), "monotone", self.BASE,
-                                 horizon=60)
+                                 horizon=60, seed=self.BASE.seed)
         assert rate == 0.5
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            winrate_objective((0.0, 0.0), "maximal", self.BASE)
+            winrate_objective((0.0, 0.0), "maximal", self.BASE, horizon=60,
+                              seed=self.BASE.seed)
 
     def test_profile_errors_propagate(self):
         with pytest.raises(ValueError):
-            winrate_objective((0.0, 800.0), "softmax", self.BASE)
+            winrate_objective((0.0, 800.0), "softmax", self.BASE, horizon=60,
+                              seed=self.BASE.seed)
