@@ -14,8 +14,8 @@ from mctsopt import OptimizeConfig, bayesopt_loop, random_search
 from mctsopt.seeds import derive
 
 TARGET = np.array([-8.0, -5.5, -7.0, -9.0, -4.5, -6.0])
-config = OptimizeConfig(bounds=tuple((-10.0, -4.0) for _ in range(6)),
-                        n_init=10, n_iter=60, seed=11, noise_var=4e-4)
+config = OptimizeConfig(lo=-10.0, hi=-4.0, m=6, n_init=10, n_iter=60,
+                        seed=11, noise_var=4e-4)
 
 rng = np.random.Generator(np.random.Philox(key=derive(11, "demo-noise")))
 

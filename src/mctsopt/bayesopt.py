@@ -23,7 +23,7 @@ from .seeds import derive
 # Candidates per proposal: half Sobol points over the box, the rest split
 # evenly over the incumbent perturbation scales.
 _CANDIDATE_COUNT = 4096
-# Incumbent perturbation scales as fractions of each box width.
+# Incumbent perturbation scales as fractions of the box width.
 _LOCAL_SCALES = (0.1, 0.02, 0.004)
 
 _AMPLITUDE_FLOOR = 1e-6
@@ -31,37 +31,27 @@ _AMPLITUDE_FLOOR = 1e-6
 
 @dataclass(frozen=True)
 class OptimizeConfig:
-    """Settings for one optimization run."""
+    """Settings for one optimization run over the cube [lo, hi]**m."""
 
-    bounds: tuple                      # ((lo, hi), ...) per dimension
     noise_var: float                   # GP observation noise
+    lo: float = -10.0
+    hi: float = -4.0
+    m: int = 6
     n_init: int = 8
     n_iter: int = 40
     seed: int = 0
 
     def __post_init__(self):
-        bounds = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
-        object.__setattr__(self, "bounds", bounds)
-        if not np.all(np.isfinite(bounds)) or any(hi <= lo for lo, hi in bounds):
+        if not np.isfinite([self.lo, self.hi]).all() or self.hi <= self.lo:
             raise ValueError("bounds must be finite with lo < hi")
+        if self.m < 1:
+            raise ValueError("m must be at least 1")
         if self.n_init < 2:
             raise ValueError("n_init must be at least 2")
         if self.n_iter < self.n_init:
             raise ValueError("n_iter must cover the initial design")
         if not self.noise_var >= 0:
             raise ValueError("noise_var must be non-negative")
-
-    @property
-    def dim(self) -> int:
-        return len(self.bounds)
-
-    @property
-    def lows(self) -> np.ndarray:
-        return np.array([lo for lo, _ in self.bounds])
-
-    @property
-    def highs(self) -> np.ndarray:
-        return np.array([hi for _, hi in self.bounds])
 
 
 @dataclass
@@ -75,33 +65,32 @@ class Evaluation:
 
 
 def _sobol(config: OptimizeConfig, count: int, *tags) -> np.ndarray:
-    sampler = qmc.Sobol(d=config.dim, scramble=True,
+    sampler = qmc.Sobol(d=config.m, scramble=True,
                         seed=derive(config.seed, *tags))
     # Draw the next power of two and slice: Sobol balance is only defined
     # at powers of two and scipy warns otherwise.
     pts = sampler.random_base2(max(0, (count - 1).bit_length()))[:count]
-    return qmc.scale(pts, config.lows, config.highs)
+    return qmc.scale(pts, config.lo, config.hi)
 
 
 def fit_surrogate(X, t, config: OptimizeConfig) -> GPModel:
-    """Refit the GP: amplitude from target variance, lengthscales equal to
-    the box widths."""
+    """Refit the GP: amplitude from target variance, every lengthscale equal
+    to the box width."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     t = np.asarray(t, dtype=float)
     amplitude = max(float(np.var(t)), _AMPLITUDE_FLOOR)
     kernel = Matern52Kernel(amplitude=amplitude,
-                            lengthscales=tuple(config.highs - config.lows),
+                            lengthscales=(config.hi - config.lo,) * config.m,
                             noise_var=config.noise_var)
     return fit(X, t, kernel)
 
 
-def _fold_into_box(pts: np.ndarray, lows: np.ndarray,
-                   highs: np.ndarray) -> np.ndarray:
+def _fold_into_box(pts: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """Reflect points at the box walls (no probability atom on the bound,
     unlike clipping)."""
-    widths = highs - lows
-    z = np.mod(pts - lows, 2.0 * widths)
-    return lows + widths - np.abs(z - widths)
+    width = hi - lo
+    z = np.mod(pts - lo, 2.0 * width)
+    return lo + width - np.abs(z - width)
 
 
 def _candidates(model: GPModel, config: OptimizeConfig) -> np.ndarray:
@@ -110,13 +99,13 @@ def _candidates(model: GPModel, config: OptimizeConfig) -> np.ndarray:
     per_scale = (_CANDIDATE_COUNT - n_global) // len(_LOCAL_SCALES)
     pts = [_sobol(config, n_global, "candidates", model.n)]
     incumbent = model.X[int(np.argmax(model.t))]
-    widths = config.highs - config.lows
+    width = config.hi - config.lo
     rng = np.random.Generator(np.random.Philox(
         key=derive(config.seed, "local", model.n)))
     for scale in _LOCAL_SCALES:
-        jitter = rng.normal(0.0, 1.0, size=(per_scale, config.dim))
-        local = incumbent + jitter * (widths * scale)
-        pts.append(_fold_into_box(local, config.lows, config.highs))
+        jitter = rng.normal(0.0, 1.0, size=(per_scale, config.m))
+        local = incumbent + jitter * (width * scale)
+        pts.append(_fold_into_box(local, config.lo, config.hi))
     return np.vstack(pts)
 
 
@@ -176,5 +165,5 @@ def random_search(objective, config: OptimizeConfig) -> tuple[np.ndarray, list[E
     history: list[Evaluation] = []
     for _ in range(config.n_iter):
         _record(history, objective,
-                config.lows + rng.random(config.dim) * (config.highs - config.lows))
+                config.lo + rng.random(config.m) * (config.hi - config.lo))
     return _best_point(history), history

@@ -13,10 +13,11 @@ and package version, sufficient to reproduce the run bit-for-bit.  Each
 section is read through one table of the keys the run reads, with their
 types and defaults (Config.read), so any other key is a line-anchored
 error: a match sets its engines' budget and seeds per move, and optimize
-sets both backups, so those engine sections do not take those keys.  In
-an engine section the evaluator and backup kinds choose their keys: each
-kind is declared once (_KINDS) with the keys it reads, and the section is
-read in one call over the engine's, its role's and its kinds' keys.
+sets both backups, so those engine sections do not take those keys.  The
+kind of a [game]/[pool] section and the evaluator and backup kinds of an
+engine section choose the keys the section reads: each kind is declared
+once (_KINDS) with its builder and the keys it reads, and a section is
+read in one call and built into the object its run uses.
 Exit status 0 on success, 2 on config/validation errors.
 """
 
@@ -45,26 +46,31 @@ from .tournament import (MatchConfig, SyntheticPool, TicTacToePool, run_match,
 from .weights import build_weight_table
 
 # Section tables: key -> (type, default).  The SyntheticTreeSpec fields a
-# [game]/[pool] section may set, with the spec's defaults; gen-game writes
-# its descriptor from the same list.  seed picks the tree for gen-game and
-# analyze; trap_actions is written by gen-game for reference only.
+# synthetic [game]/[pool] section may set, with the spec's defaults; gen-game
+# writes its descriptor from the same list.  seed picks the tree for gen-game
+# and analyze.
 _SYNTHETIC_KEYS = {key: (convert, getattr(SyntheticTreeSpec, key))
                    for key, convert in (
     ("branching", int), ("depth", int), ("leaf_win_prob", float),
     ("trap_level", int), ("trap_count", int), ("trap_prior", float),
     ("trap_deviation_win_prob", float), ("trap_sealed_win_prob", float),
     ("seed", int))}
-_GAME_KEYS = {"kind": (str, SyntheticTreeSpec.kind), "trap_actions": (str, None),
-              **_SYNTHETIC_KEYS}
 # The keys of a monotone profile: [profile] and a monotone backup read them.
 _PROFILE_KEYS = {"knots": (str, REQUIRED), "horizon": (int, REQUIRED),
                  "w0": (float, 1.0)}
-# The kinds an engine section chooses with its evaluator and backup keys
-# (names are case-insensitive): kind -> (builder, which takes the values
-# read from the section, and the table of the keys that kind reads).  The
-# builders look the classes up when called, so a test or the benchmark's
-# tracing can swap them.
+# The kinds a [game]/[pool] section chooses with its kind key and an engine
+# section with its evaluator and backup keys (names are case-insensitive):
+# kind -> (builder, which takes the values read from the section, and the
+# table of the keys that kind reads).  The builders look the classes up when
+# called, so a test or the benchmark's tracing can swap them.
 _KINDS = {
+    "kind": {
+        # gen-game writes trap_actions into a descriptor for reference only.
+        "synthetic": (
+            lambda keys: SyntheticPool(**{key: keys[key] for key in _SYNTHETIC_KEYS}),
+            {**_SYNTHETIC_KEYS, "trap_actions": (str, None)}),
+        "tictactoe": (lambda keys: TicTacToePool(), {}),
+    },
     "evaluator": {
         "rollout": (lambda keys: RandomRolloutEvaluator(), {}),
         "noisy_oracle": (
@@ -108,20 +114,23 @@ _SEARCH_KEYS = {"simulations": (int, SearchConfig.simulations),
 # existing optimize configs (the benchmark's among them) set it.
 _MATCH_KEYS = {"games": (int, REQUIRED), "sims_per_move": (int, REQUIRED),
                "seed": (int, MatchConfig.seed)}
-# The keys from noise_var on are OptimizeConfig's fields.  horizon and
-# noise_var default to None, which _cmd_optimize resolves from the match.
-_OPTIMIZE_KEYS = {"kind": (str, "softmax"), "m": (int, 6), "lo": (float, -10.0),
-                  "hi": (float, -4.0), "horizon": (int, None),
-                  "noise_var": (float, None),
+# The keys from m to seed are OptimizeConfig's fields, with its defaults.
+# horizon and noise_var (a field without a default) default to None, which
+# _cmd_optimize resolves from the match.
+_OPTIMIZE_KEYS = {"kind": (str, "softmax"),
                   **{key: (convert, getattr(OptimizeConfig, key))
                      for key, convert in (
-                         ("n_init", int), ("n_iter", int), ("seed", int))}}
+                         ("m", int), ("lo", float), ("hi", float),
+                         ("n_init", int), ("n_iter", int), ("seed", int))},
+                  "horizon": (int, None), "noise_var": (float, None)}
 
 
-def _load_game_section(config: Config, section: str) -> dict:
-    """Resolve a [game]/[pool] section, following a descriptor reference
-    (a file holding only a [game] section): {"kind": "tictactoe"}, or kind
-    "synthetic" and every spec field."""
+def _load_game(config: Config, section: str):
+    """The game of a [game]/[pool] section, a SyntheticPool or a
+    TicTacToePool, following a descriptor reference (a file holding only a
+    [game] section).  Returns (game, keys, config, section): the values read
+    from the section, then the file and section that hold them, where errors
+    about the game belong."""
     entries = config.section(section)
     if "descriptor" in entries:
         if len(entries) > 1:
@@ -133,32 +142,22 @@ def _load_game_section(config: Config, section: str) -> dict:
             if name != section:
                 raise config.error(name, None, f"unknown section [{name}] in "
                                                f"a game descriptor")
-        entries = config.section(section)
-    # kind picks the table, and reading it raw is what read would return.
-    kind = entries.get("kind", SyntheticTreeSpec.kind)
-    if kind == "tictactoe":
-        config.read(section, {"kind": (str, REQUIRED)})
-        return {"kind": "tictactoe"}
-    if kind != "synthetic":
-        raise config.error(section, "kind", f"unknown game kind {kind!r}")
-    keys = config.read(section, _GAME_KEYS)
-    game = {key: keys[key] for key in _SYNTHETIC_KEYS}
+    build, kind_keys = _choose(config, section, "kind", SyntheticTreeSpec.kind)
+    keys = config.read(section, {"kind": (str, SyntheticTreeSpec.kind),
+                                 **kind_keys})
     try:
-        SyntheticTreeSpec(**game).validate()
+        return build(keys), keys, config, section
     except ValueError as exc:
         raise config.error(section, None, str(exc)) from exc
-    return {"kind": "synthetic", **game}
 
 
-def _game_to_pool(game: dict):
-    if game["kind"] == "tictactoe":
-        return TicTacToePool()
-    return SyntheticPool(**{k: v for k, v in game.items() if k != "kind"})
-
-
-def _game_to_state(game: dict):
-    """Concrete root position (for gen-game and analyze): the seeded tree."""
-    return _game_to_pool(game).make(game.get("seed", SyntheticTreeSpec.seed))
+def _root(game, seed: int, config: Config, section: str):
+    """The root position of ``game`` at ``seed`` (for gen-game and analyze);
+    a tree that cannot be drawn is an error anchored at its section."""
+    try:
+        return game.make(seed)
+    except ValueError as exc:
+        raise config.error(section, None, str(exc)) from exc
 
 
 def _choose(config: Config, section: str, key: str, default: str):
@@ -219,31 +218,30 @@ def _csv_text(header, rows) -> str:
 
 
 def _cmd_gen_game(config: Config, args) -> int:
-    game = _load_game_section(config, "game")
-    if game["kind"] != "synthetic":
-        raise ConfigError(f"{config.path}:0: gen-game emits synthetic tree "
-                          f"descriptors; got kind=tictactoe")
+    game, keys, source, section = _load_game(config, "game")
+    if game.kind != SyntheticTreeSpec.kind:
+        raise source.error(section, "kind", f"gen-game emits synthetic tree "
+                                            f"descriptors; got kind={game.kind}")
     if args.seed is not None:
-        game["seed"] = args.seed
-    tree = _game_to_state(game).tree
-    section = {"kind": "synthetic"}
+        keys["seed"] = args.seed
+    tree = _root(game, keys["seed"], source, section).tree
+    descriptor = {"kind": game.kind}
     for key in _SYNTHETIC_KEYS:
-        value = getattr(tree.spec, key)
-        if value is not None:
-            section[key] = repr(value)
+        if keys[key] is not None:
+            descriptor[key] = repr(keys[key])
     if tree.trap_actions:
-        section["trap_actions"] = ", ".join(map(str, tree.trap_actions))
+        descriptor["trap_actions"] = ", ".join(map(str, tree.trap_actions))
     path = os.path.join(args.out, "game.ini")
-    write_atomic(path, format_sections({"game": section}))
-    _write_manifest(args.out, "gen-game", config, args, section)
+    write_atomic(path, format_sections({"game": descriptor}))
+    _write_manifest(args.out, "gen-game", config, args, descriptor)
     print(f"wrote {path}")
-    print(f"trap_actions = {section.get('trap_actions', 'none')}")
+    print(f"trap_actions = {descriptor.get('trap_actions', 'none')}")
     return 0
 
 
 def _cmd_analyze(config: Config, args) -> int:
-    game = _load_game_section(config, "game")
-    state = _game_to_state(game)
+    game, keys, source, section = _load_game(config, "game")
+    state = _root(game, keys.get("seed", SyntheticTreeSpec.seed), source, section)
     engine = _load_engine(config, "search", _SEARCH_KEYS)
     if args.seed is not None:
         engine = engine.with_seed(args.seed)
@@ -274,7 +272,7 @@ def _load_match(config: Config, seed: int | None,
     sections; ``seed``, when given, replaces the [match] seed, and
     ``engine_keys`` are the keys the engine sections add (_load_engine)."""
     match = config.read("match", _MATCH_KEYS)
-    pool = _game_to_pool(_load_game_section(config, "pool"))
+    pool = _load_game(config, "pool")[0]
     engine_a = _load_engine(config, "engine_a", engine_keys)
     engine_b = _load_engine(config, "engine_b", engine_keys)
     if seed is not None:
@@ -313,21 +311,19 @@ def _cmd_tournament(config: Config, args) -> int:
 
 def _cmd_optimize(config: Config, args) -> int:
     settings = config.read("optimize", _OPTIMIZE_KEYS)
-    kind, m, lo, hi, horizon = (settings.pop(key)
-                                for key in ("kind", "m", "lo", "hi", "horizon"))
+    kind, horizon = settings.pop("kind"), settings.pop("horizon")
     if kind not in ("softmax", "monotone"):
         raise config.error("optimize", "kind",
                            f"kind must be softmax or monotone, got {kind!r}")
-    if m < 2:
+    if settings["m"] < 2:
         raise config.error("optimize", "m",
                            f"m must be at least 2 (a profile needs two "
-                           f"knots), got {m}")
+                           f"knots), got {settings['m']}")
     if horizon is not None and horizon < 1:
         raise config.error("optimize", "horizon",
                            f"horizon must be >= 1, got {horizon}")
     if args.seed is not None:
         settings["seed"] = args.seed
-    seed = settings["seed"]
 
     base = _load_match(config, None, {})
     if horizon is None:
@@ -336,25 +332,24 @@ def _cmd_optimize(config: Config, args) -> int:
         # The binomial variance of a win-rate at p = 0.5.
         settings["noise_var"] = 0.25 / base.games
     try:
-        opt = OptimizeConfig(bounds=tuple((lo, hi) for _ in range(m)),
-                             **settings)
+        opt = OptimizeConfig(**settings)
     except ValueError as exc:
         raise config.error("optimize", None, str(exc)) from exc
     # w(t) increases in every knot, so when the top corner of the box
     # gives a weight table, every candidate in the box does.
     backup = MonotoneBackup if kind == "monotone" else SoftmaxBackup
     try:
-        backup.from_knots((hi,) * m, horizon)
+        backup.from_knots((opt.hi,) * opt.m, horizon)
     except ValueError as exc:
         raise config.error("optimize", "hi",
-                           f"knots at hi = {hi!r} give no {kind} "
+                           f"knots at hi = {opt.hi!r} give no {kind} "
                            f"profile: {exc}") from exc
 
     history_rows = []
 
     def objective(x):
         return winrate_objective(tuple(x), kind, base, horizon=horizon,
-                                 seed=derive(seed, "eval", len(history_rows)),
+                                 seed=derive(opt.seed, "eval", len(history_rows)),
                                  workers=args.workers)
 
     def on_evaluation(entry):

@@ -35,6 +35,7 @@ class SyntheticTreeSpec:
     trap_level (k) and trap_count control trap injection; trap_prior is
     the root prior mass the traps share (see trap_priors), which tempts
     prior-guided tree policies.  Identical specs give identical trees.
+    A spec is checked when it is made, so every spec is valid.
     """
 
     branching: int = 4
@@ -52,7 +53,7 @@ class SyntheticTreeSpec:
     def make(self, seed: int) -> "SyntheticTreeState":
         return generate_synthetic_tree(replace(self, seed=seed))
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.branching < 2:
             raise ValueError("branching must be at least 2")
         if self.depth < 1:
@@ -89,12 +90,11 @@ class SyntheticTree:
     """
 
     __slots__ = ("branching", "depth", "leaf_values", "trap_actions",
-                 "root_priors", "spec", "_levels", "_fingerprint", "_actions")
+                 "root_priors", "_levels", "_fingerprint", "_actions")
 
     def __init__(self, branching: int, depth: int, leaf_values: np.ndarray,
                  trap_actions: tuple[int, ...] = (),
-                 root_priors: tuple[float, ...] | None = None,
-                 spec: SyntheticTreeSpec | None = None):
+                 root_priors: tuple[float, ...] | None = None):
         if len(leaf_values) != branching**depth:
             raise ValueError("leaf array does not match branching**depth")
         self.branching = branching
@@ -103,7 +103,6 @@ class SyntheticTree:
         self.leaf_values.setflags(write=False)
         self.trap_actions = tuple(trap_actions)
         self.root_priors = root_priors
-        self.spec = spec
         self._levels = None
         self._fingerprint = None
         self._actions = tuple(range(branching))
@@ -286,7 +285,6 @@ def generate_synthetic_tree(spec: SyntheticTreeSpec) -> SyntheticTreeState:
     trees always offer a safe move.  With trap_prior set, the root
     carries the priors of trap_priors; otherwise it has none.
     """
-    spec.validate()
     b, d = spec.branching, spec.depth
     rng = np.random.Generator(np.random.Philox(key=derive(spec.seed, "leaves")))
     leaves = (rng.random(b**d) < spec.leaf_win_prob).astype(np.float64)
@@ -308,5 +306,5 @@ def generate_synthetic_tree(spec: SyntheticTreeSpec) -> SyntheticTreeState:
     priors = (None if spec.trap_prior is None
               else trap_priors(b, trap_actions, spec.trap_prior))
     return SyntheticTree(b, d, leaves, trap_actions=trap_actions,
-                         root_priors=priors, spec=spec).root
+                         root_priors=priors).root
 

@@ -266,7 +266,6 @@ def test_c5_bayesopt_efficacy():
     search on average."""
     start = time.perf_counter()
     center = np.array([-8.3, -5.1, -6.7, -9.2, -4.8, -7.5])
-    bounds = tuple((-10.0, -4.0) for _ in range(6))
     gp_bests, rs_bests = [], []
     for seed in range(10):
         noise = np.random.Generator(np.random.Philox(key=derive(seed, "c5")))
@@ -274,7 +273,7 @@ def test_c5_bayesopt_efficacy():
         def objective(x):
             return float(-np.sum((x - center) ** 2) + noise.normal(0.0, 0.02))
 
-        config = OptimizeConfig(bounds=bounds, n_init=10, n_iter=80,
+        config = OptimizeConfig(lo=-10.0, hi=-4.0, m=6, n_init=10, n_iter=80,
                                 seed=seed, noise_var=4e-4)
         _, history = bayesopt_loop(objective, config)
         gp_bests.append(max(e.value for e in history))
@@ -308,6 +307,7 @@ def _c6_trial(args):
     return kind, run_search(root, config).best_action == trap
 
 
+@pytest.mark.slow
 def test_c6_trap_avoidance():
     """On 200 trees with one tempting level-3 trap each, tuned softmax
     picks the trap strictly less often than standard backup, with a
@@ -334,6 +334,7 @@ def test_c6_trap_avoidance():
            f"two-proportion z = {z:.2f}  [{elapsed:.1f}s]")
 
 
+@pytest.mark.slow
 def test_c7_optimize_pipeline(tmp_path):
     """End to end: tune softmax knots by 400-game evaluations (40 total),
     then confirm the best profile beats standard backup over 1000 fresh
@@ -502,6 +503,7 @@ def _c9_trial(args):
     return name, run_search(state, config).best_action == optimal
 
 
+@pytest.mark.slow
 def test_c9_minimax_convergence():
     """From 50 solved tic-tac-toe positions with a unique optimal move,
     every backup strategy at 2000 simulations finds it in at least 95%

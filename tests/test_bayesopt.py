@@ -22,27 +22,29 @@ def quadratic_with_noise(center, sd, seed):
 
 class TestConfigValidation:
     def test_rejects_bad_settings(self):
-        good = dict(bounds=((0.0, 1.0),), n_init=2, n_iter=4, noise_var=1e-4)
+        good = dict(lo=0.0, hi=1.0, m=1, n_init=2, n_iter=4, noise_var=1e-4)
         OptimizeConfig(**good)
         with pytest.raises(ValueError):
-            OptimizeConfig(bounds=((1.0, 1.0),), noise_var=1e-4)
-        for bounds in (((float("nan"), 1.0),), ((0.0, float("nan")),),
-                       ((float("-inf"), 1.0),), ((0.0, float("inf")),)):
+            OptimizeConfig(lo=1.0, hi=1.0, m=1, noise_var=1e-4)
+        for lo, hi in ((float("nan"), 1.0), (0.0, float("nan")),
+                       (float("-inf"), 1.0), (0.0, float("inf"))):
             with pytest.raises(ValueError):
-                OptimizeConfig(bounds=bounds, noise_var=1e-4)
+                OptimizeConfig(lo=lo, hi=hi, m=1, noise_var=1e-4)
         with pytest.raises(ValueError):
-            OptimizeConfig(bounds=((0.0, 1.0),), n_init=1, noise_var=1e-4)
+            OptimizeConfig(lo=0.0, hi=1.0, m=0, noise_var=1e-4)
         with pytest.raises(ValueError):
-            OptimizeConfig(bounds=((0.0, 1.0),), n_init=8, n_iter=4,
+            OptimizeConfig(lo=0.0, hi=1.0, m=1, n_init=1, noise_var=1e-4)
+        with pytest.raises(ValueError):
+            OptimizeConfig(lo=0.0, hi=1.0, m=1, n_init=8, n_iter=4,
                            noise_var=1e-4)
         for noise_var in (-1.0, float("nan")):
             with pytest.raises(ValueError):
-                OptimizeConfig(bounds=((0.0, 1.0),), noise_var=noise_var)
+                OptimizeConfig(lo=0.0, hi=1.0, m=1, noise_var=noise_var)
 
 
 class TestProposeNext:
     def setup_model(self):
-        config = OptimizeConfig(bounds=((0.0, 1.0),), n_init=2, n_iter=10,
+        config = OptimizeConfig(lo=0.0, hi=1.0, m=1, n_init=2, n_iter=10,
                                 noise_var=1e-6, seed=5)
         model = fit_surrogate([[0.0], [1.0]], [0.0, 1.0], config)
         return config, model
@@ -71,7 +73,7 @@ class TestProposeNext:
 
 class TestLoop:
     def test_constant_objective_runs_full_budget(self):
-        config = OptimizeConfig(bounds=((0.0, 1.0), (0.0, 1.0)),
+        config = OptimizeConfig(lo=0.0, hi=1.0, m=2,
                                 n_init=4, n_iter=12, seed=3, noise_var=1e-4)
         best_x, history = bayesopt_loop(lambda x: 0.7, config)
         assert len(history) == 12
@@ -80,7 +82,7 @@ class TestLoop:
     def test_each_proposal_follows_a_fit_on_every_result(self, monkeypatch):
         # One point per round, so the surrogate holds only real results and
         # the candidate draws are keyed by how many there are.
-        config = OptimizeConfig(bounds=((0.0, 1.0),) * 2, n_init=3, n_iter=7,
+        config = OptimizeConfig(lo=0.0, hi=1.0, m=2, n_init=3, n_iter=7,
                                 seed=2, noise_var=1e-4)
         evaluated, fitted = [], []
 
@@ -93,7 +95,7 @@ class TestLoop:
         assert fitted == [(n, n) for n in range(3, 7)]
 
     def test_deterministic_history(self):
-        config = OptimizeConfig(bounds=((-1.0, 1.0),) * 2, n_init=4,
+        config = OptimizeConfig(lo=-1.0, hi=1.0, m=2, n_init=4,
                                 n_iter=10, seed=12, noise_var=1e-4)
         obj = lambda x: float(-np.sum(np.asarray(x) ** 2))
         _, h1 = bayesopt_loop(obj, config)
@@ -102,8 +104,8 @@ class TestLoop:
         assert [e.value for e in h1] == [e.value for e in h2]
 
     def test_nonfinite_objective_penalized(self):
-        config = OptimizeConfig(bounds=((0.0, 1.0),), n_init=2, n_iter=6, seed=1,
-                                noise_var=1e-4)
+        config = OptimizeConfig(lo=0.0, hi=1.0, m=1, n_init=2, n_iter=6,
+                                seed=1, noise_var=1e-4)
         calls = []
 
         def objective(x):
@@ -119,7 +121,7 @@ class TestLoop:
 
     def test_finds_quadratic_optimum_2d(self):
         center = np.array([0.3, -0.4])
-        config = OptimizeConfig(bounds=((-1.0, 1.0), (-1.0, 1.0)),
+        config = OptimizeConfig(lo=-1.0, hi=1.0, m=2,
                                 n_init=6, n_iter=40, seed=7, noise_var=1e-4)
         best_x, history = bayesopt_loop(
             quadratic_with_noise(center, 0.01, seed=7), config)
@@ -127,11 +129,10 @@ class TestLoop:
 
     def test_beats_random_search_on_quadratic(self):
         center = np.array([-8.3, -5.1, -6.7])
-        bounds = ((-10.0, -4.0),) * 3
         gp_bests, rs_bests = [], []
         for seed in range(3):
-            config = OptimizeConfig(bounds=bounds, n_init=8, n_iter=40,
-                                    seed=seed, noise_var=4e-4)
+            config = OptimizeConfig(lo=-10.0, hi=-4.0, m=3, n_init=8,
+                                    n_iter=40, seed=seed, noise_var=4e-4)
             obj = quadratic_with_noise(center, 0.02, seed)
             _, hist = bayesopt_loop(obj, config)
             gp_bests.append(max(e.value for e in hist))
@@ -141,7 +142,7 @@ class TestLoop:
         assert np.mean(gp_bests) > np.mean(rs_bests)
 
     def test_random_search_deterministic(self):
-        config = OptimizeConfig(bounds=((0.0, 1.0),) * 2, n_init=2,
+        config = OptimizeConfig(lo=0.0, hi=1.0, m=2, n_init=2,
                                 n_iter=9, seed=4, noise_var=1e-4)
         obj = lambda x: float(np.sum(x))
         _, h1 = random_search(obj, config)

@@ -62,3 +62,18 @@ depth = 3
                  "weights.build", "bayesopt.fit", "bayesopt.propose",
                  "oracle.rollout", "synthetic.make"):
         assert tracer.calls.get(name, [0])[0] > 0, name
+
+
+def test_traced_game_commands_draw_through_the_pool(tracing, tmp_path):
+    """gen-game and analyze build their synthetic game through the name the
+    tracing swaps, so they must not need more of it than kind and make."""
+    game = "[game]\nbranching = 3\ndepth = 3\nseed = 5\n"
+    configs = {"gen-game": game, "analyze": game + "[search]\nsimulations = 20\n"}
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        for command, text in configs.items():
+            config = tmp_path / f"{command}.ini"
+            config.write_text(text)
+            assert dispatch([command, "--config", str(config),
+                             "--out", str(tmp_path / command)]) == 0
+    assert tracer.calls["synthetic.make"][0] == 2

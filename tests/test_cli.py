@@ -1,14 +1,19 @@
 """CLI subcommands: outputs, determinism, validation exit codes."""
 
 import csv
+import dataclasses
 import json
 import os
 import re
 
 import pytest
 
-from mctsopt.cli import _COMMANDS, _KINDS, _OPTIMIZE_KEYS, _SYNTHETIC_KEYS, dispatch
+from mctsopt.bayesopt import OptimizeConfig
+from mctsopt.cli import (_COMMANDS, _KINDS, _MATCH_KEYS, _OPTIMIZE_KEYS,
+                         _SYNTHETIC_KEYS, dispatch)
 from mctsopt.config import REQUIRED, read_config
+from mctsopt.games import SyntheticTreeSpec
+from mctsopt.tournament import MatchConfig
 from mctsopt.seeds import derive
 
 TYPE_NAMES = {str: "string", int: "integer", float: "number"}
@@ -237,6 +242,59 @@ coulom_y = 16
         assert run_cli("analyze", "--config", config, "--out", out) == 0
         summary = json.load(open(os.path.join(out, "analysis.json")))
         assert summary["root_visits"] == 200
+
+
+class TestGameSection:
+    # Every redraw of a safe root action loses when no leaf wins.
+    HOSTILE = ("[game]\nbranching = 3\ndepth = 3\nleaf_win_prob = 0.0\n"
+               "trap_count = 1\ntrap_level = 1\n")
+    SEARCH = "\n[search]\nsimulations = 20\n"
+
+    def run_error(self, tmp_path, capsys, subcommand, text):
+        out = str(tmp_path / "out")
+        assert run_cli(subcommand, "--config",
+                       write_config(tmp_path, "c.ini", text), "--out", out) == 2
+        assert os.listdir(out) == []
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand", ["gen-game", "analyze"])
+    def test_tree_error_anchored_at_game_section(self, subcommand, tmp_path,
+                                                 capsys):
+        text = "# no winning leaf\n" + self.HOSTILE
+        if subcommand == "analyze":
+            text += self.SEARCH
+        err = self.run_error(tmp_path, capsys, subcommand, text)
+        assert "c.ini:2: could not make root action" in err
+
+    def test_tree_error_anchored_in_descriptor(self, tmp_path, capsys):
+        write_config(tmp_path, "d.ini", "\n" + self.HOSTILE)
+        err = self.run_error(tmp_path, capsys, "analyze",
+                             f"[game]\ndescriptor = {tmp_path / 'd.ini'}\n"
+                             + self.SEARCH)
+        assert "d.ini:2: could not make root action" in err
+
+    def test_gen_game_rejects_tictactoe_at_kind(self, tmp_path, capsys):
+        err = self.run_error(tmp_path, capsys, "gen-game",
+                             "# a board game\n[game]\nkind = TicTacToe\n")
+        assert ("c.ini:3: gen-game emits synthetic tree descriptors; "
+                "got kind=tictactoe") in err
+
+    @pytest.mark.parametrize("kind", _KINDS["kind"])
+    def test_kind_names_are_case_insensitive(self, kind, tmp_path, capsys):
+        keys = "" if kind == "tictactoe" else "branching = 3\ndepth = 3\n"
+        outputs = []
+        for name in (kind, kind.upper(), kind.capitalize()):
+            config = write_config(tmp_path, "c.ini", f"[game]\nkind = {name}\n"
+                                  + keys + self.SEARCH)
+            assert run_cli("analyze", "--config", config,
+                           "--out", str(tmp_path / name)) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_unknown_kind_anchored_at_kind(self, tmp_path, capsys):
+        err = self.run_error(tmp_path, capsys, "analyze",
+                             "[game]\nkind = chess\n" + self.SEARCH)
+        assert "c.ini:2: unknown kind 'chess'" in err
 
 
 class TestTournament:
@@ -720,3 +778,33 @@ def test_readme_tabulates_the_optimize_keys():
             assert not re.fullmatch(r"`[^`]*`", cell), key
         else:
             assert cell == f"`{default}`", key
+
+
+def _table_defaults(table, drop=()):
+    return {key: default for key, (_, default) in table.items()
+            if key not in drop}
+
+
+def _field_defaults(cls, missing, drop=()):
+    return {f.name: missing if f.default is dataclasses.MISSING else f.default
+            for f in dataclasses.fields(cls) if f.name not in drop}
+
+
+@pytest.mark.parametrize("table, cls, missing, drop_keys, drop_fields", [
+    (_KINDS["kind"]["synthetic"][1], SyntheticTreeSpec, REQUIRED,
+     {"trap_actions"}, ()),
+    (_OPTIMIZE_KEYS, OptimizeConfig, None, {"kind", "horizon"}, ()),
+    (_MATCH_KEYS, MatchConfig, REQUIRED, (), {"pool", "engine_a", "engine_b"}),
+], ids=["synthetic", "optimize", "match"])
+def test_section_table_matches_its_object(table, cls, missing, drop_keys,
+                                          drop_fields):
+    """A section table reads exactly its object's fields, with the field's
+    type and default; a field without a default is required, or, under
+    [optimize], resolved by the CLI (None).  The synthetic table adds only
+    trap_actions (the reader adds kind), [optimize] only kind and horizon,
+    and [match] leaves the pool and the engines to their sections."""
+    assert _table_defaults(table, drop_keys) == \
+        _field_defaults(cls, missing, drop_fields)
+    for f in dataclasses.fields(cls):
+        if f.name in table:
+            assert table[f.name][0].__name__ in f.type.split(" | "), f.name

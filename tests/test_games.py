@@ -68,26 +68,26 @@ class TestSyntheticGeneration:
 
     def test_rejects_bad_specs(self):
         with pytest.raises(ValueError):
-            SyntheticTreeSpec(branching=1, depth=3).validate()
+            SyntheticTreeSpec(branching=1, depth=3)
         with pytest.raises(ValueError):
-            SyntheticTreeSpec(branching=2, depth=0).validate()
+            SyntheticTreeSpec(branching=2, depth=0)
         with pytest.raises(ValueError):
-            SyntheticTreeSpec(branching=2, depth=3, leaf_win_prob=1.5).validate()
+            SyntheticTreeSpec(branching=2, depth=3, leaf_win_prob=1.5)
         with pytest.raises(ValueError):
-            SyntheticTreeSpec(branching=2, depth=3, trap_level=3).validate()
+            SyntheticTreeSpec(branching=2, depth=3, trap_level=3)
         with pytest.raises(ValueError):
-            SyntheticTreeSpec(branching=2, depth=3, trap_count=1).validate()
+            SyntheticTreeSpec(branching=2, depth=3, trap_count=1)
         with pytest.raises(ValueError):
             SyntheticTreeSpec(branching=2, depth=3, trap_count=2,
-                              trap_level=1).validate()
+                              trap_level=1)
         with pytest.raises(ValueError):
-            SyntheticTreeSpec(branching=4, depth=13).validate()
+            SyntheticTreeSpec(branching=4, depth=13)
         with pytest.raises(ValueError):     # trap_prior needs a trap
-            SyntheticTreeSpec(branching=2, depth=3, trap_prior=0.5).validate()
+            SyntheticTreeSpec(branching=2, depth=3, trap_prior=0.5)
         for prior in (0.0, 1.0, 1.5):
             with pytest.raises(ValueError):
                 SyntheticTreeSpec(branching=3, depth=3, trap_level=1,
-                                  trap_count=1, trap_prior=prior).validate()
+                                  trap_count=1, trap_prior=prior)
 
     def test_role_alternation(self):
         root = generate_synthetic_tree(SyntheticTreeSpec(2, 4, seed=3))

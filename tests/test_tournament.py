@@ -63,8 +63,8 @@ class TestConfigValidation:
         expected = generate_synthetic_tree(
             SyntheticTreeSpec(branching=3, depth=4, trap_level=2,
                               trap_count=1, trap_prior=0.6, seed=17))
-        assert root.tree.spec.seed == 17 and pool.seed == 0
-        assert root.tree.spec == expected.tree.spec
+        assert pool.seed == 0
+        assert root.tree.trap_actions == expected.tree.trap_actions
         assert root.action_priors == expected.action_priors
         assert (root.tree.leaf_values == expected.tree.leaf_values).all()
 
