@@ -7,7 +7,8 @@ over the whole box plus Gaussian perturbations of the incumbent at
 several scales - a global-only candidate set cannot resolve optima much
 finer than the box diameter divided by the candidate count**(1/d)).  The
 candidate draws are keyed by the seed and the number of results, and
-every result in the surrogate is a real evaluation.
+every result in the surrogate is a real evaluation.  scipy.stats is
+imported on the first draw, so importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from .gp import GPModel, Matern52Kernel, expected_improvement, fit
 from .seeds import derive
@@ -65,6 +65,8 @@ class Evaluation:
 
 
 def _sobol(config: OptimizeConfig, count: int, *tags) -> np.ndarray:
+    from scipy.stats import qmc
+
     sampler = qmc.Sobol(d=config.m, scramble=True,
                         seed=derive(config.seed, *tags))
     # Draw the next power of two and slice: Sobol balance is only defined

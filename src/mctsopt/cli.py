@@ -348,9 +348,13 @@ def _cmd_optimize(config: Config, args) -> int:
     history_rows = []
 
     def objective(x):
-        return winrate_objective(tuple(x), kind, base, horizon=horizon,
-                                 seed=derive(opt.seed, "eval", len(history_rows)),
-                                 workers=args.workers)
+        i = len(history_rows)
+        try:
+            return winrate_objective(tuple(x), kind, base, horizon=horizon,
+                                     seed=derive(opt.seed, "eval", i),
+                                     workers=args.workers)
+        except (ValueError, OSError) as exc:
+            raise ValueError(f"evaluation {i + 1} of {opt.n_iter}: {exc}") from exc
 
     def on_evaluation(entry):
         history_rows.append((

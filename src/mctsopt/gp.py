@@ -3,7 +3,8 @@
 Exact posterior via Cholesky factorization with escalating jitter, plus
 the expected-improvement acquisition the optimizer maximizes.  Everything is
 immutable after fitting; fit and posterior are pure functions, so models
-can be shared freely across threads.
+can be shared freely across threads.  scipy is imported inside the
+functions that call it, so importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -11,9 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.spatial.distance import cdist
-from scipy.special import ndtr
 
 _SQRT5 = np.sqrt(5.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -57,6 +55,8 @@ class Matern52Kernel:
 
     def matrix(self, X, Y) -> np.ndarray:
         """Cross-covariance matrix k(X, Y) without noise."""
+        from scipy.spatial.distance import cdist
+
         r = cdist(self._scaled(X), self._scaled(Y))
         s = _SQRT5 * r
         return self.amplitude * (1.0 + s + (5.0 / 3.0) * r * r) * np.exp(-s)
@@ -66,14 +66,13 @@ class GPModel:
     """Fitted Gaussian process; query with posterior()."""
 
     def __init__(self, X: np.ndarray, t: np.ndarray, kernel: Matern52Kernel,
-                 t_mean: float, factor, solve_vec: np.ndarray, jitter: float):
+                 t_mean: float, factor, solve_vec: np.ndarray):
         self.X = X
         self.t = t
         self.kernel = kernel
         self.t_mean = t_mean
         self._factor = factor
         self.solve_vec = solve_vec
-        self.jitter = jitter
 
     @property
     def n(self) -> int:
@@ -90,6 +89,8 @@ class GPModel:
         Variance is the predictive variance of a new observation,
         k(x*, x*) + noise - r^T K^-1 r, clamped at zero from below.
         """
+        from scipy.linalg import cho_solve
+
         R = self.kernel.matrix(self.X, X_star)
         mu = self.t_mean + R.T @ self.solve_vec
         V = cho_solve(self._factor, R)
@@ -106,6 +107,9 @@ def fit(X, t, kernel: Matern52Kernel) -> GPModel:
     Factorization retries with jitter escalating to 1e-6 before giving up
     with a ConditioningError.
     """
+    from scipy.linalg import cho_factor, cho_solve
+    from scipy.spatial.distance import cdist
+
     X = np.atleast_2d(np.asarray(X, dtype=float))
     t = np.asarray(t, dtype=float).ravel()
     if len(X) != len(t):
@@ -131,7 +135,7 @@ def fit(X, t, kernel: Matern52Kernel) -> GPModel:
             last_exc = exc
             continue
         solve_vec = cho_solve(factor, t - t_mean)
-        return GPModel(X, t, kernel, t_mean, factor, solve_vec, jitter)
+        return GPModel(X, t, kernel, t_mean, factor, solve_vec)
     raise ConditioningError(
         f"kernel matrix not positive definite even with jitter {_JITTERS[-1]}"
     ) from last_exc
@@ -144,6 +148,8 @@ def expected_improvement(mu, sigma, f_best):
     at sigma = 0 it degenerates to max(mu - f_best, 0).  Works on scalars
     and arrays.
     """
+    from scipy.special import ndtr
+
     mu = np.asarray(mu, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     improve = mu - f_best

@@ -5,9 +5,13 @@ import dataclasses
 import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import mctsopt
+from mctsopt import cli
 from mctsopt.bayesopt import OptimizeConfig
 from mctsopt.cli import (_COMMANDS, _KINDS, _MATCH_KEYS, _OPTIMIZE_KEYS,
                          _SYNTHETIC_KEYS, dispatch)
@@ -431,6 +435,34 @@ depth = 3
         assert "o.ini:6:" in err and "hi = 710.0" in err
         assert played == []
         assert not os.path.exists(os.path.join(out, "history.csv"))
+
+    @pytest.mark.parametrize("error", [ValueError, OSError])
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_objective_error_names_its_evaluation(
+            self, tmp_path, capsys, monkeypatch, played, error, k):
+        fake = cli.winrate_objective
+
+        def failing(*args, **kwargs):
+            if len(played) == k:
+                raise error("no game")
+            return fake(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "winrate_objective", failing)
+        config = write_config(tmp_path, "o.ini", OPTIMIZE_MATCH_INI)
+        out = str(tmp_path / "oe")
+        assert run_cli("optimize", "--config", config, "--out", out) == 2
+        assert capsys.readouterr().err == f"error: evaluation {k + 1} of 3: no game\n"
+        assert len(played) == k
+
+
+def test_import_loads_no_scipy():
+    # Only optimize needs scipy; it loads it when it draws its first points.
+    code = ("import sys, mctsopt, mctsopt.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = os.path.dirname(os.path.dirname(mctsopt.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "[]"
 
 
 class TestValidation:
