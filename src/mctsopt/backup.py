@@ -177,9 +177,9 @@ class _ParentRecomputeBackup(BackupStrategy):
     """Base for strategies that rebuild ancestor values from children.
 
     Each ancestor's value is what coulom_parent_update or
-    softmax_parent_update gives for its visited children, computed in one
-    pass over the children with the same floating-point operations in the
-    same order, so the results are bit-identical.
+    softmax_parent_update gives for its visited children, computed from
+    the child nodes directly with the same floating-point operations in
+    the same order, so the results are bit-identical.
     """
 
     def backpropagate(self, path, value: float) -> None:
@@ -237,7 +237,10 @@ class SoftmaxBackup(_ParentRecomputeBackup):
 
     Early in the search the parent value matches plain averaging; as
     visits accumulate it interpolates toward the minimax-style best-child
-    value at a rate set by the weight profile.
+    value at a rate set by the weight profile.  Each ancestor takes two
+    passes over its visited children: the first finds the largest
+    exponent, the second sums n * exp(exponent - largest) and the same
+    terms times q, in child order.
     """
 
     kind = "softmax"
@@ -262,23 +265,22 @@ class SoftmaxBackup(_ParentRecomputeBackup):
             node.visits = n_parent
             w = table[n_parent] if n_parent < last else table[last]
             sign = 1.0 if node.is_max else -1.0
-            qs = []
-            ns = []
-            exponents = []
-            for child in node.children:
+            children = node.children
+            top = -math.inf
+            for child in children:
+                if child.visits:
+                    e = sign * child.q * w
+                    if e > top:
+                        top = e
+            total = 0.0
+            weighted = 0.0
+            for child in children:
                 n = child.visits
                 if n:
                     q = child.q
-                    qs.append(q)
-                    ns.append(n)
-                    exponents.append(sign * q * w)
-            top = max(exponents)
-            total = 0.0
-            weighted = 0.0
-            for q, n, e in zip(qs, ns, exponents):
-                a = n * exp(e - top)
-                total += a
-                weighted += a * q
+                    a = n * exp(sign * q * w - top)
+                    total += a
+                    weighted += a * q
             node.q = weighted / total
 
 

@@ -27,6 +27,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -346,6 +347,9 @@ def _cmd_optimize(config: Config, args) -> int:
                            f"profile: {exc}") from exc
 
     history_rows = []
+    history_path = os.path.join(args.out, "history.csv")
+    incumbent = -math.inf
+    start = time.perf_counter()
 
     def objective(x):
         i = len(history_rows)
@@ -357,18 +361,26 @@ def _cmd_optimize(config: Config, args) -> int:
             raise ValueError(f"evaluation {i + 1} of {opt.n_iter}: {exc}") from exc
 
     def on_evaluation(entry):
+        nonlocal incumbent
+        knots = format_knots(entry.point)
         history_rows.append((
-            len(history_rows), format_knots(entry.point), f"{entry.value:.10g}",
+            len(history_rows), knots, f"{entry.value:.10g}",
             base.games, time.strftime("%Y-%m-%dT%H:%M:%S"),
         ))
+        # Rewritten whole after every evaluation, so a run that stops early
+        # keeps the evaluations it finished.
+        write_atomic(history_path,
+                     _csv_text(("eval", "knots", "win_rate", "games", "timestamp"),
+                               history_rows))
+        incumbent = max(incumbent, entry.value)
+        print(f"optimize: {len(history_rows)}/{opt.n_iter} knots {knots} "
+              f"win-rate {entry.value:.4f} best {incumbent:.4f} "
+              f"elapsed {time.perf_counter() - start:.1f}s", file=sys.stderr)
 
     best_x, history = bayesopt_loop(objective, opt, callback=on_evaluation)
     best_value = max(e.value for e in history)
     best_knots = format_knots(best_x)
 
-    write_atomic(os.path.join(args.out, "history.csv"),
-                 _csv_text(("eval", "knots", "win_rate", "games", "timestamp"),
-                           history_rows))
     write_atomic(os.path.join(args.out, "best.json"), json.dumps({
         "kind": kind, "knots": [float(v) for v in best_x],
         "horizon": horizon, "best_value": best_value,

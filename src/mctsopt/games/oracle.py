@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 
-from ..seeds import derive
+from ..seeds import derive_from, hasher
 from .base import GameState, NodeLimitError, PlayerRole
 from .synthetic import MAX_ORACLE_NODES, SyntheticTreeState
 from .tictactoe import TicTacToeState, empty_board
@@ -114,14 +114,21 @@ class NoisyOracleEvaluator:
             raise ValueError("noise_sd must be non-negative")
         self.noise_sd = float(noise_sd)
         self.seed = int(seed)
+        self._prefix = hasher(self.seed, "oracle-noise")
+
+    def __reduce__(self):
+        # A hash state does not pickle; a worker rebuilds it from the seed.
+        return NoisyOracleEvaluator, (self.noise_sd, self.seed)
 
     def evaluate(self, state: GameState, rng=None) -> float:
         v = minimax_value(state)
         if self.noise_sd == 0.0:
             return v
-        key = derive(self.seed, "oracle-noise", *map(str, state.state_key()))
-        u1 = (derive(key, 1) + 1) / 18446744073709551617.0
-        u2 = (derive(key, 2) + 1) / 18446744073709551617.0
+        # key = derive(seed, "oracle-noise", *state key), and u1, u2 come
+        # from derive(key, 1) and derive(key, 2).
+        key = hasher(derive_from(self._prefix, *map(str, state.state_key())))
+        u1 = (derive_from(key, 1) + 1) / 18446744073709551617.0
+        u2 = (derive_from(key, 2) + 1) / 18446744073709551617.0
         z = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
         return min(1.0, max(0.0, v + self.noise_sd * z))
 

@@ -4,13 +4,16 @@ Each iteration selects a path with UCB1 or PUCT, expands the first
 unexpanded node it reaches (adding all children at once, their priors the
 state's normalized action_priors or uniform ones), evaluates the state of
 the child the tree policy picks there, and hands the return to the backup
-strategy.  Nodes hold statistics only, no game state: a map local to
-run_search builds each node's state once, with state.apply, the first
-time a descent enters the node, and is dropped when the search returns,
-so a returned tree holds no state.  The updated path ends at the expanded
-node itself: a node's first visit is its own expansion pass, so after any
-search every internal node satisfies N_parent = 1 + sum of child visits,
-and the root children's visit counts sum to simulations - 1.
+strategy.  Nodes hold statistics only, no game state.  An expanded node
+is never terminal, so the descent walks expanded nodes by their statistics
+alone and reads a state once per simulation, at the node where it stops.
+A map local to run_search holds each entered node's state, built with
+state.apply from the parent's state the first time a descent stops at the
+node, and is dropped when the search returns, so a returned tree holds no
+state.  The updated path ends at the expanded node itself: a node's first
+visit is its own expansion pass, so after any search every internal node
+satisfies N_parent = 1 + sum of child visits, and the root children's
+visit counts sum to simulations - 1.
 
 A search owns its tree exclusively and runs single-threaded; parallelism
 happens across searches, which share immutable game states and strategy
@@ -98,27 +101,45 @@ def _select_index(node: SearchNode, use_ucb1: bool, c: float) -> int:
     """
     children = node.children
     n_parent = node.visits if node.visits >= 1 else 1
-    is_max = node.is_max
     best_i = 0
     best_s = -math.inf
+    i = 0
     if use_ucb1:
         scale = c * math.sqrt(math.log(n_parent))
-        for i, child in enumerate(children):
-            nv = child.visits
-            q = child.q if nv else 0.5
-            s = (q if is_max else 1.0 - q) + scale / math.sqrt(nv + 1.0)
-            if s > best_s:
-                best_s = s
-                best_i = i
+        if node.is_max:
+            for child in children:
+                nv = child.visits
+                s = (child.q if nv else 0.5) + scale / math.sqrt(nv + 1.0)
+                if s > best_s:
+                    best_s = s
+                    best_i = i
+                i += 1
+        else:
+            for child in children:
+                nv = child.visits
+                s = (1.0 - child.q if nv else 0.5) + scale / math.sqrt(nv + 1.0)
+                if s > best_s:
+                    best_s = s
+                    best_i = i
+                i += 1
     else:
         scale = c * math.sqrt(n_parent)
-        for i, child in enumerate(children):
-            nv = child.visits
-            q = child.q if nv else 0.5
-            s = (q if is_max else 1.0 - q) + scale * child.prior / (nv + 1.0)
-            if s > best_s:
-                best_s = s
-                best_i = i
+        if node.is_max:
+            for child in children:
+                nv = child.visits
+                s = (child.q if nv else 0.5) + scale * child.prior / (nv + 1.0)
+                if s > best_s:
+                    best_s = s
+                    best_i = i
+                i += 1
+        else:
+            for child in children:
+                nv = child.visits
+                s = (1.0 - child.q if nv else 0.5) + scale * child.prior / (nv + 1.0)
+                if s > best_s:
+                    best_s = s
+                    best_i = i
+                i += 1
     return best_i
 
 
@@ -150,7 +171,11 @@ def _expand(node: SearchNode, state: GameState) -> None:
 
 
 def run_search(root: GameState, config: SearchConfig) -> SearchResult:
-    """Run ``config.simulations`` search iterations from ``root``."""
+    """Run ``config.simulations`` search iterations from ``root``.
+
+    Each simulation reads the state map once, at the node where its
+    descent stops, and tests that state for a terminal there.
+    """
     if root.terminal:
         raise ValueError("cannot search a terminal position")
 
@@ -161,29 +186,25 @@ def run_search(root: GameState, config: SearchConfig) -> SearchResult:
     rollout_rng = random.Random(derive(config.seed, "rollout"))
 
     root_node = SearchNode(is_max=root.to_move is PlayerRole.MAX)
-    states = {}          # node -> its state, built when first entered
+    states = {root_node: root}   # node -> its state, built when first entered
     for _ in range(config.simulations):
         node = root_node
-        state = root
         path = [node]
-        while True:
-            if state.terminal:
-                value = state.terminal_return
-                break
-            if node.children is None:
-                _expand(node, state)
-                i = _select_index(node, use_ucb1, c)
-                value = evaluate(state.apply(node.child_actions[i]),
-                                 evaluator, rollout_rng)
-                break
+        while node.children is not None:
             i = _select_index(node, use_ucb1, c)
-            child = node.children[i]
-            child_state = states.get(child)
-            if child_state is None:
-                child_state = states[child] = state.apply(node.child_actions[i])
-            node = child
-            state = child_state
+            node = node.children[i]
             path.append(node)
+        state = states.get(node)
+        if state is None:
+            parent = path[-2]
+            state = states[node] = states[parent].apply(parent.child_actions[i])
+        if state.terminal:
+            value = state.terminal_return
+        else:
+            _expand(node, state)
+            i = _select_index(node, use_ucb1, c)
+            value = evaluate(state.apply(node.child_actions[i]),
+                             evaluator, rollout_rng)
         strategy.backpropagate(path, value)
 
     visit_distribution = {

@@ -23,8 +23,27 @@ def derive(seed: int, *tags: int | str) -> int:
     Tags may be ints or strings; they are encoded unambiguously
     (length-prefixed) so ("ab", "c") and ("a", "bc") differ.
     """
+    return int.from_bytes(hasher(seed, *tags).digest(), "little")
+
+
+def hasher(seed: int, *tags: int | str):
+    """The hash state of ``derive(seed, *tags)`` before its digest, for
+    callers that derive many seeds sharing that prefix (see derive_from)."""
     h = hashlib.blake2b(digest_size=8)
     h.update(int(seed & _MASK64).to_bytes(8, "little"))
+    _absorb(h, tags)
+    return h
+
+
+def derive_from(prefix, *tags: int | str) -> int:
+    """``derive(seed, *head, *tags)`` for ``prefix = hasher(seed, *head)``;
+    ``prefix`` itself is left unchanged."""
+    h = prefix.copy()
+    _absorb(h, tags)
+    return int.from_bytes(h.digest(), "little")
+
+
+def _absorb(h, tags) -> None:
     for tag in tags:
         if isinstance(tag, int):
             data = b"i" + int(tag & _MASK64).to_bytes(8, "little", signed=False)
@@ -33,4 +52,3 @@ def derive(seed: int, *tags: int | str) -> int:
             data = b"s" + len(raw).to_bytes(4, "little") + raw
         h.update(len(data).to_bytes(4, "little"))
         h.update(data)
-    return int.from_bytes(h.digest(), "little")

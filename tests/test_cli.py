@@ -451,8 +451,28 @@ depth = 3
         config = write_config(tmp_path, "o.ini", OPTIMIZE_MATCH_INI)
         out = str(tmp_path / "oe")
         assert run_cli("optimize", "--config", config, "--out", out) == 2
-        assert capsys.readouterr().err == f"error: evaluation {k + 1} of 3: no game\n"
+        err = capsys.readouterr().err.splitlines()
+        assert err[k:] == [f"error: evaluation {k + 1} of 3: no game"]
         assert len(played) == k
+        # The evaluations finished before the error are on disk.
+        history = os.path.join(out, "history.csv")
+        if k:
+            assert [r[0] for r in read_rows(history)[1:]] == \
+                [str(i) for i in range(k)]
+        else:
+            assert not os.path.exists(history)
+
+    def test_one_progress_line_per_evaluation(self, tmp_path, capsys, played):
+        config = write_config(tmp_path, "o.ini", OPTIMIZE_MATCH_INI)
+        assert run_cli("optimize", "--config", config,
+                       "--out", str(tmp_path / "op")) == 0
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == len(played) == 3
+        for i, line in enumerate(lines, 1):
+            assert re.match(rf"optimize: {i}/3 knots \(.*\) win-rate [0-9.]+ "
+                            rf"best [0-9.]+ elapsed [0-9.]+s$", line), line
+        assert captured.out.startswith("best softmax profile: (")
 
 
 def test_import_loads_no_scipy():

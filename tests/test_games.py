@@ -1,6 +1,8 @@
 """Game environments against brute-force and Monte-Carlo oracles."""
 
+import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -17,6 +19,7 @@ from mctsopt.games import (NodeLimitError, NoisyOracleEvaluator, PlayerRole,
 from mctsopt.games import oracle
 from mctsopt.games.synthetic import MAX_ORACLE_NODES
 from mctsopt.games.tictactoe import TicTacToeState
+from mctsopt.seeds import derive
 
 
 def brute_force_value(state):
@@ -247,6 +250,21 @@ class TestEvaluators:
         assert ev.evaluate(state) == ev.evaluate(state)
         other = NoisyOracleEvaluator(noise_sd=0.1, seed=4)
         assert ev.evaluate(state) != other.evaluate(state)
+
+    @pytest.mark.parametrize("seed", [3, 2**64 - 5])
+    def test_noise_is_the_derive_formula(self, seed):
+        # The evaluator keeps hash states to save work; its noise must stay
+        # this formula, also after pickling for a worker process.
+        ev = NoisyOracleEvaluator(noise_sd=0.1, seed=seed)
+        sent = pickle.loads(pickle.dumps(ev))
+        for state in reachable_states():
+            key = derive(seed, "oracle-noise", *map(str, state.state_key()))
+            u1 = (derive(key, 1) + 1) / 18446744073709551617.0
+            u2 = (derive(key, 2) + 1) / 18446744073709551617.0
+            z = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+            expected = min(1.0, max(0.0, minimax_value(state) + 0.1 * z))
+            assert ev.evaluate(state) == expected
+            assert sent.evaluate(state) == expected
 
     def test_noise_clamped_to_unit_interval(self):
         ev = NoisyOracleEvaluator(noise_sd=50.0, seed=1)

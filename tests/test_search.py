@@ -179,15 +179,18 @@ class TestRunSearchBasics:
 
 
 class ApplyLog:
-    """How many states a search made, and which of them are still alive."""
+    """How many states a search made, how often it asked whether one was
+    terminal, and which of the states are still alive."""
 
     def __init__(self):
         self.applies = 0
+        self.terminal_reads = 0
         self.alive = weakref.WeakSet()
 
 
 class CountingState(GameState):
-    """Wraps a state and records every apply in an ApplyLog."""
+    """Wraps a state and records every apply and terminal read in an
+    ApplyLog."""
 
     def __init__(self, inner, log):
         self.inner = inner
@@ -195,7 +198,12 @@ class CountingState(GameState):
 
     to_move = property(lambda self: self.inner.to_move)
     actions = property(lambda self: self.inner.actions)
-    terminal = property(lambda self: self.inner.terminal)
+
+    @property
+    def terminal(self):
+        self.log.terminal_reads += 1
+        return self.inner.terminal
+
     terminal_return = property(lambda self: self.inner.terminal_return)
     action_priors = property(lambda self: self.inner.action_priors)
 
@@ -234,6 +242,22 @@ class TestStateReuse:
         entered = sum(1 for node in nodes[1:] if node.visits)
         evaluations = sum(1 for node in nodes if node.children is not None)
         assert log.applies == entered + evaluations <= 2 * sims
+
+    @pytest.mark.parametrize("backup", [StandardBackup(),
+                                        SoftmaxBackup.from_knots((-2.0, -1.0), 300)],
+                             ids=["standard", "softmax"])
+    @pytest.mark.parametrize("policy", ["PUCT", "UCB1"])
+    def test_one_terminal_read_per_simulation(self, backup, policy):
+        # Expanded nodes are never terminal, so only the node where a
+        # descent stops needs the test; once per tree level is 4 or more.
+        sims = 300
+        log = ApplyLog()
+        result = run_search(CountingState(self.POOL.make(3), log), SearchConfig(
+            simulations=sims, policy=policy, backup=backup,
+            evaluator=ConstantEvaluator(), seed=2))
+        evaluations = sum(1 for node in walk(result.root)
+                          if node.children is not None)
+        assert log.terminal_reads <= sims + evaluations + 1
 
     def test_returned_tree_holds_no_state(self):
         log = ApplyLog()
