@@ -7,26 +7,24 @@ sharpening of parent values.  The two profile-based strategies are built
 on a family of strictly increasing weight functions parameterized by a
 few knots, and a Gaussian-process optimizer tunes those knots by
 self-play win-rate on desk-scale games with exact oracles.
+
+The top level holds the names the README, the demos and the benchmark
+import: the six backups, search and match entry points, the games and
+evaluators they run on, and the tuner with its GP and weight tables.
+Every other name is imported from the module that defines it, e.g.
+``mctsopt.search.SearchNode`` or ``mctsopt.games.oracle.best_actions``.
 """
 
-from .backup import (BackupStrategy, CoulomBackup, ErwaBackup, FeedbackBackup,
-                     MonotoneBackup, SoftmaxBackup, StandardBackup,
-                     coulom_parent_update, softmax_parent_update)
-from .bayesopt import (Evaluation, OptimizeConfig, bayesopt_loop, propose_next,
-                       random_search)
-from .games import (GameState, NodeLimitError, NoisyOracleEvaluator, PlayerRole,
-                    RandomRolloutEvaluator, SyntheticTree, SyntheticTreeSpec,
-                    SyntheticTreeState, TicTacToeState, best_actions,
-                    empty_board, evaluate, generate_synthetic_tree,
-                    minimax_value, reachable_states, trap_priors)
-from .gp import (ConditioningError, GPModel, Matern52Kernel,
-                 expected_improvement, fit)
-from .search import (SearchConfig, SearchNode, SearchResult, run_search,
-                     select_child)
-from .tournament import (GameRecord, MatchConfig, MatchResult, SyntheticPool,
-                         TicTacToePool, play_game, run_match, wilson_interval,
-                         winrate_objective)
-from .weights import (WeightProfile, build_weight_table, erwa_knots,
-                      feedback_weight)
+from .backup import (CoulomBackup, ErwaBackup, FeedbackBackup, MonotoneBackup,
+                     SoftmaxBackup, StandardBackup)
+from .bayesopt import OptimizeConfig, bayesopt_loop, random_search
+from .games.oracle import (NoisyOracleEvaluator, RandomRolloutEvaluator,
+                           minimax_value)
+from .games.synthetic import SyntheticTree
+from .games.tictactoe import empty_board
+from .gp import Matern52Kernel, expected_improvement, fit
+from .search import SearchConfig, run_search
+from .tournament import MatchConfig, SyntheticPool, run_match
+from .weights import build_weight_table, erwa_knots
 
 __version__ = "0.1.0"

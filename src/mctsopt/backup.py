@@ -8,7 +8,10 @@ when the return arrived (standard's table is all ones).  ERWA is its own
 recursion, Q += alpha * (r - Q).  Parent-recomputation strategies (coulom,
 softmax) give the path end a plain running-mean update and then rebuild
 each ancestor's value from its children's current statistics, walking
-toward the root.
+toward the root.  coulom_parent_update and softmax_parent_update state
+that rebuild for one parent as plain functions of (q, n) pairs; the
+strategies compute the same values inline, and the functions stay as the
+tests' reference for them.
 
 Strategies are immutable after construction and safe to share between
 concurrent searches; the mutable per-node scratch (weighted return sum and
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 import math
 
-from .weights import WeightProfile, build_weight_table, feedback_weight, FEEDBACK_PROFILES
+from .weights import WeightProfile, build_weight_table, feedback_weight
 
 
 class BackupStrategy:
@@ -90,8 +93,10 @@ class FeedbackBackup(_AveragingBackup):
     kind = "feedback"
 
     def __init__(self, profile: str, final_ratio: float, horizon: int):
-        if profile not in FEEDBACK_PROFILES:
-            raise ValueError(f"unknown feedback profile {profile!r}")
+        # A negative horizon would build an empty table without calling
+        # feedback_weight, which checks the other arguments.
+        if horizon < 1:
+            raise ValueError("horizon must be >= 1")
         self.profile = profile
         self.final_ratio = float(final_ratio)
         self.horizon = int(horizon)
@@ -160,7 +165,7 @@ def softmax_parent_update(children, maximizing: bool, profile: WeightProfile,
     """
     if not children:
         raise ValueError("parent update needs at least one visited child")
-    w = profile.weight_at_visit(n_parent)
+    w = float(profile.table[min(n_parent, profile.horizon)])
     sign = 1.0 if maximizing else -1.0
     exponents = [sign * q * w for q, _ in children]
     top = max(exponents)
@@ -179,7 +184,9 @@ class _ParentRecomputeBackup(BackupStrategy):
     Each ancestor's value is what coulom_parent_update or
     softmax_parent_update gives for its visited children, computed from
     the child nodes directly with the same floating-point operations in
-    the same order, so the results are bit-identical.
+    the same order, so the results are bit-identical.  No search calls
+    those two functions; they stay as the reference the tests hold the
+    inline walks to.
     """
 
     def backpropagate(self, path, value: float) -> None:

@@ -31,6 +31,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import replace
 
 from . import __version__
 from .backup import (CoulomBackup, ErwaBackup, FeedbackBackup, MonotoneBackup,
@@ -38,8 +39,8 @@ from .backup import (CoulomBackup, ErwaBackup, FeedbackBackup, MonotoneBackup,
 from .bayesopt import OptimizeConfig, bayesopt_loop
 from .config import (Config, ConfigError, REQUIRED, format_sections,
                      read_config, write_atomic)
-from .games import (NoisyOracleEvaluator, RandomRolloutEvaluator,
-                    SyntheticTreeSpec)
+from .games.oracle import NoisyOracleEvaluator, RandomRolloutEvaluator
+from .games.synthetic import SyntheticTreeSpec
 from .search import SearchConfig, run_search
 from .seeds import derive
 from .tournament import (MatchConfig, SyntheticPool, TicTacToePool, run_match,
@@ -245,7 +246,7 @@ def _cmd_analyze(config: Config, args) -> int:
     state = _root(game, keys.get("seed", SyntheticTreeSpec.seed), source, section)
     engine = _load_engine(config, "search", _SEARCH_KEYS)
     if args.seed is not None:
-        engine = engine.with_seed(args.seed)
+        engine = replace(engine, seed=args.seed)
     result = run_search(state, engine)
     rows = [(a, node.visits, f"{node.q:.10g}", f"{node.prior:.10g}")
             for a, node in zip(result.root.child_actions, result.root.children)]

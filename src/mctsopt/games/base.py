@@ -14,10 +14,6 @@ class PlayerRole(Enum):
     MAX = 1
     MIN = -1
 
-    @property
-    def opponent(self) -> "PlayerRole":
-        return PlayerRole.MIN if self is PlayerRole.MAX else PlayerRole.MAX
-
 
 class NodeLimitError(RuntimeError):
     """Raised when exact evaluation would exceed the node ceiling."""

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .backup import BackupStrategy, StandardBackup
 from .games.base import GameState, PlayerRole
@@ -74,9 +74,6 @@ class SearchConfig:
             raise ValueError(f"policy must be one of {POLICIES}")
         if not self.exploration >= 0:
             raise ValueError("exploration constant must be non-negative")
-
-    def with_seed(self, seed: int) -> "SearchConfig":
-        return replace(self, seed=seed)
 
 
 @dataclass
@@ -141,15 +138,6 @@ def _select_index(node: SearchNode, use_ucb1: bool, c: float) -> int:
                     best_i = i
                 i += 1
     return best_i
-
-
-def select_child(parent: SearchNode, policy: str, c: float):
-    """Tree-policy action at an expanded node."""
-    if policy not in POLICIES:
-        raise ValueError(f"policy must be one of {POLICIES}")
-    if not parent.children:
-        raise ValueError("cannot select at an unexpanded or childless node")
-    return parent.child_actions[_select_index(parent, policy == "UCB1", c)]
 
 
 def _expand(node: SearchNode, state: GameState) -> None:

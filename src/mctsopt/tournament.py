@@ -106,7 +106,7 @@ def play_game(engine_a: SearchConfig, engine_b: SearchConfig, start: GameState,
     while not state.terminal:
         engine = engine_a if a_to_move else engine_b
         seat = "seat-first" if a_to_move == a_moves_first else "seat-second"
-        result = run_search(state, engine.with_seed(derive(seed, seat, move_idx)))
+        result = run_search(state, replace(engine, seed=derive(seed, seat, move_idx)))
         moves.append(result.best_action)
         state = state.apply(result.best_action)
         a_to_move = not a_to_move
@@ -134,7 +134,8 @@ def run_match(config: MatchConfig, workers: int = 1) -> tuple[MatchResult, list[
     """Play all games of a match, optionally across processes."""
     pairs = config.games // 2
     tasks = [(config, p) for p in range(pairs)]
-    if workers > 1 and pairs > 1:
+    workers = min(workers, pairs)
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_play_pair, tasks,
                                     chunksize=max(1, pairs // (4 * workers))))

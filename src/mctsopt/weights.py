@@ -60,12 +60,6 @@ class WeightProfile:
         i = min(int(s / dt), len(self.knots) - 2)
         return self.knots[i] + (s / dt - i) * (self.knots[i + 1] - self.knots[i])
 
-    def weight_at_visit(self, n: int) -> float:
-        """w(n), clamped to w(N) beyond the horizon."""
-        if n < 0:
-            raise ValueError("visit count must be non-negative")
-        return float(self.table[min(n, self.horizon)])
-
 
 def build_weight_table(knots, horizon: int, w0: float) -> WeightProfile:
     """Materialize the profile defined by ``knots`` over [0, horizon].
@@ -151,6 +145,8 @@ def feedback_weight(profile: str, t: float, horizon: int, final_ratio: float) ->
         raise ValueError(f"unknown feedback profile {profile!r}")
     if not final_ratio > 1.0:
         raise ValueError("final_ratio must exceed 1")
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
     if not 0 <= t <= horizon:
         raise ValueError(f"t={t} outside [0, {horizon}]")
     n_seg = _FEEDBACK_SEGMENTS

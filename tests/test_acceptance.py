@@ -31,7 +31,8 @@ from mctsopt.backup import (CoulomBackup, ErwaBackup, FeedbackBackup,
                             softmax_parent_update)
 from mctsopt.bayesopt import OptimizeConfig, bayesopt_loop, random_search
 from mctsopt.cli import dispatch
-from mctsopt.games import best_actions, reachable_states
+from mctsopt.games.oracle import best_actions
+from mctsopt.games.tictactoe import reachable_states
 from mctsopt.gp import Matern52Kernel, expected_improvement, fit
 from mctsopt.search import SearchConfig, SearchNode, run_search
 from mctsopt.seeds import derive

@@ -10,7 +10,7 @@ from mctsopt.backup import (CoulomBackup, ErwaBackup, FeedbackBackup,
                             coulom_parent_update, parse_knots, format_knots,
                             softmax_parent_update)
 from mctsopt.cli import dispatch
-from mctsopt.games import SyntheticTreeSpec
+from mctsopt.games.synthetic import SyntheticTreeSpec
 from mctsopt.search import SearchConfig, SearchNode, run_search
 from mctsopt.weights import WeightProfile, build_weight_table, erwa_knots
 

@@ -16,7 +16,7 @@ from mctsopt.bayesopt import OptimizeConfig
 from mctsopt.cli import (_COMMANDS, _KINDS, _MATCH_KEYS, _OPTIMIZE_KEYS,
                          _SYNTHETIC_KEYS, dispatch)
 from mctsopt.config import REQUIRED, read_config
-from mctsopt.games import SyntheticTreeSpec
+from mctsopt.games.synthetic import SyntheticTreeSpec
 from mctsopt.tournament import MatchConfig
 from mctsopt.seeds import derive
 
@@ -711,6 +711,14 @@ BAD_VALUES = {
         "analyze", SEARCH_INI + "backup = feedback\nfeedback_profile = GAX\n"
                                 "horizon = 8\nfinal_ratio = nan\n",
         "backup = feedback", "bad backup spec: final_ratio must exceed 1"),
+    "feedback-horizon-zero": (
+        "analyze", SEARCH_INI + "backup = feedback\nfeedback_profile = GAX\n"
+                                "horizon = 0\n",
+        "backup = feedback", "bad backup spec: horizon must be >= 1"),
+    "feedback-horizon-negative": (
+        "analyze", SEARCH_INI + "backup = feedback\nfeedback_profile = GBY\n"
+                                "horizon = -1\n",
+        "backup = feedback", "bad backup spec: horizon must be >= 1"),
     "w0-nan": (
         "analyze", SEARCH_INI + "backup = monotone\nknots = (-2, -1)\n"
                                 "horizon = 8\nw0 = nan\n",

@@ -11,14 +11,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mctsopt.games import (NodeLimitError, NoisyOracleEvaluator, PlayerRole,
-                           RandomRolloutEvaluator,
-                           SyntheticTreeSpec, best_actions, empty_board,
-                           evaluate, generate_synthetic_tree,
-                           minimax_value, reachable_states, trap_priors)
 from mctsopt.games import oracle
-from mctsopt.games.synthetic import MAX_ORACLE_NODES
-from mctsopt.games.tictactoe import TicTacToeState
+from mctsopt.games.base import NodeLimitError, PlayerRole
+from mctsopt.games.oracle import (NoisyOracleEvaluator, RandomRolloutEvaluator,
+                                  best_actions, evaluate, minimax_value)
+from mctsopt.games.synthetic import (MAX_ORACLE_NODES, SyntheticTreeSpec,
+                                     generate_synthetic_tree, trap_priors)
+from mctsopt.games.tictactoe import (TicTacToeState, empty_board,
+                                     reachable_states)
 from mctsopt.seeds import derive
 
 
@@ -99,7 +99,7 @@ class TestSyntheticGeneration:
         while not state.terminal:
             assert state.to_move is role
             state = state.apply(0)
-            role = role.opponent
+            role = PlayerRole.MIN if role is PlayerRole.MAX else PlayerRole.MAX
 
 
 class TestTrapTrees:

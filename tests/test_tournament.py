@@ -2,9 +2,9 @@
 
 import pytest
 
-from mctsopt import trap_priors
 from mctsopt.backup import SoftmaxBackup, StandardBackup
-from mctsopt.games import SyntheticTreeSpec, generate_synthetic_tree
+from mctsopt.games.synthetic import (SyntheticTreeSpec, generate_synthetic_tree,
+                                     trap_priors)
 from mctsopt.search import SearchConfig
 from mctsopt.tournament import (MatchConfig, SyntheticPool, TicTacToePool,
                                 play_game, run_match, wilson_interval,
@@ -138,6 +138,27 @@ class TestRunMatch:
         parallel, rec_p = run_match(config, workers=2)
         assert serial == parallel
         assert rec_s == rec_p
+
+    def test_pool_starts_no_more_workers_than_pairs(self, monkeypatch):
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr("mctsopt.tournament.ProcessPoolExecutor", SerialPool)
+        config = small_match(games=4)
+        assert run_match(config, workers=32) == run_match(config, workers=1)
+        assert started == [2]
 
     def test_sims_per_move_overrides_engines(self):
         config = MatchConfig(pool=TicTacToePool(), engine_a=engine(5000),

@@ -109,12 +109,6 @@ class TestBuildWeightTable:
         with pytest.raises(ValueError):
             profile.log_slope_at(11.0)
 
-    def test_weight_clamps_beyond_horizon(self):
-        profile = build_weight_table([0.0, 0.0], horizon=5, w0=1.0)
-        assert profile.weight_at_visit(9) == profile.table[5]
-        with pytest.raises(ValueError):
-            profile.weight_at_visit(-1)
-
 
 class TestErwaKnots:
     def test_table_matches_geometric_weights(self):
@@ -181,3 +175,5 @@ class TestFeedbackWeight:
             feedback_weight("GAX", 101, 100, 8.0)
         with pytest.raises(ValueError):
             feedback_weight("GAX", 5, 100, 1.0)
+        with pytest.raises(ValueError):
+            feedback_weight("GAX", 0, 0, 64.0)
