@@ -374,9 +374,12 @@ def _cmd_optimize(config: Config, args) -> int:
                      _csv_text(("eval", "knots", "win_rate", "games", "timestamp"),
                                history_rows))
         incumbent = max(incumbent, entry.value)
-        print(f"optimize: {len(history_rows)}/{opt.n_iter} knots {knots} "
+        done = len(history_rows)
+        elapsed = time.perf_counter() - start
+        eta = elapsed / done * (opt.n_iter - done)
+        print(f"optimize: {done}/{opt.n_iter} knots {knots} "
               f"win-rate {entry.value:.4f} best {incumbent:.4f} "
-              f"elapsed {time.perf_counter() - start:.1f}s", file=sys.stderr)
+              f"elapsed {elapsed:.1f}s eta {eta:.1f}s", file=sys.stderr)
 
     best_x, history = bayesopt_loop(objective, opt, callback=on_evaluation)
     best_value = max(e.value for e in history)

@@ -6,7 +6,8 @@ would exceed the node ceiling, so a returned value is always exact.
 Tic-tac-toe is solved whole on first use and then answered by lookup.  The
 noisy oracle evaluator stands in for a learned value function: exact value
 plus clamped Gaussian noise, keyed by (state, seed) so concurrent searches
-see identical noise.
+see identical noise.  Its noise takes one hash pass per derived value, and
+each state key's encoded bytes are kept in a bounded per-process cache.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import functools
 import math
 
-from ..seeds import derive_from, hasher
+from ..seeds import encode, hasher, reseed
 from .base import GameState, NodeLimitError, PlayerRole
 from .synthetic import MAX_ORACLE_NODES, SyntheticTreeState
 from .tictactoe import TicTacToeState, empty_board
@@ -104,7 +105,14 @@ class NoisyOracleEvaluator:
     """Exact value plus clamped Gaussian noise, reproducible per state.
 
     The noise for a given (state, seed) pair never changes, regardless of
-    evaluation order or thread count.
+    evaluation order or thread count.  It is a Box-Muller normal from two
+    uniforms: with ``key = derive(seed, "oracle-noise", *map(str,
+    state.state_key()))``, u1 and u2 come from ``derive(key, 1)`` and
+    ``derive(key, 2)``.  The evaluator computes exactly that in one hash
+    pass per derived value: it keeps the hash of the fixed
+    ``(seed, "oracle-noise")`` prefix, absorbs a state key's encoded bytes
+    with one update, and extends two copies of the key's own hash with the
+    fixed encodings of tags 1 and 2.
     """
 
     kind = "noisy_oracle"
@@ -124,13 +132,28 @@ class NoisyOracleEvaluator:
         v = minimax_value(state)
         if self.noise_sd == 0.0:
             return v
-        # key = derive(seed, "oracle-noise", *state key), and u1, u2 come
-        # from derive(key, 1) and derive(key, 2).
-        key = hasher(derive_from(self._prefix, *map(str, state.state_key())))
-        u1 = (derive_from(key, 1) + 1) / 18446744073709551617.0
-        u2 = (derive_from(key, 2) + 1) / 18446744073709551617.0
+        h = self._prefix.copy()
+        h.update(_key_bytes(state.state_key()))
+        key = reseed(h)
+        h = key.copy()
+        h.update(_TAG_1)
+        key.update(_TAG_2)
+        u1 = (int.from_bytes(h.digest(), "little") + 1) / 18446744073709551617.0
+        u2 = (int.from_bytes(key.digest(), "little") + 1) / 18446744073709551617.0
         z = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
         return min(1.0, max(0.0, v + self.noise_sd * z))
+
+
+_TAG_1 = encode((1,))
+_TAG_2 = encode((2,))
+
+
+@functools.lru_cache(maxsize=2**16)
+def _key_bytes(key) -> bytes:
+    """The encoded tags of a state key, ``encode(map(str, key))``, built
+    once per process.  Bounded, so a long run over a large synthetic tree
+    keeps at most 2**16 keys; tic-tac-toe has 5,478 positions."""
+    return encode(map(str, key))
 
 
 def evaluate(state: GameState, evaluator, rng=None) -> float:

@@ -15,6 +15,13 @@ visit is its own expansion pass, so after any search every internal node
 satisfies N_parent = 1 + sum of child visits, and the root children's
 visit counts sum to simulations - 1.
 
+The tree policy reads its square roots and logarithms from tables built
+once per (policy, exploration, simulations) and shared by later searches
+of that shape, so scoring a child takes no math call.  A freshly expanded
+node has no visits, so under uniform priors all its children score alike
+and the first-best rule would pick child 0: the search takes child 0 there
+without scoring.
+
 A search owns its tree exclusively and runs single-threaded; parallelism
 happens across searches, which share immutable game states and strategy
 objects.
@@ -22,6 +29,7 @@ objects.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -87,26 +95,49 @@ class SearchResult:
     root: SearchNode
 
 
-def _select_index(node: SearchNode, use_ucb1: bool, c: float) -> int:
+@functools.lru_cache(maxsize=8)
+def _score_tables(policy: str, c: float, simulations: int) -> tuple:
+    """Per-visit-count terms of the tree policy's score for one search shape.
+
+    Returns ``(scales, roots)``.  ``scales[n]`` is the exploration factor
+    of a parent with n visits: c * sqrt(ln(max(n, 1))) under UCB1 and
+    c * sqrt(max(n, 1)) under PUCT.  ``roots[n]`` is sqrt(n + 1.0), the
+    UCB1 divisor of a child with n visits (None under PUCT, whose divisor
+    n + 1.0 needs no root).  Each entry is the very float the score
+    formula computes, so a search that reads the tables picks what one
+    computing the roots per child would.  No node's visit count reaches
+    ``simulations`` while the search still selects, so the tables stop
+    there.  They are cached across searches, so the searches of a game or
+    a match build them once.
+    """
+    counts = range(simulations)
+    if policy == "UCB1":
+        return (tuple(c * math.sqrt(math.log(n if n >= 1 else 1)) for n in counts),
+                tuple(math.sqrt(n + 1.0) for n in counts))
+    return tuple(c * math.sqrt(n if n >= 1 else 1) for n in counts), None
+
+
+def _select_index(node: SearchNode, scales: tuple, roots: tuple | None) -> int:
     """Index of the tree-policy child; ties break to the lowest action index.
 
     UCB1 scores a child Q_a + C * sqrt(ln(N_parent) / (N_a + 1)), PUCT
-    Q_a + C * prior_a * sqrt(N_parent) / (N_a + 1).
+    Q_a + C * prior_a * sqrt(N_parent) / (N_a + 1), with N_parent taken
+    as at least 1.  ``scales`` and ``roots`` come from `_score_tables`, so
+    no child costs a square root or a logarithm.
     The exploitation term is the child's Q for a maximizing parent and
     1 - Q for a minimizing one, so both players chase their own winning
     chance; unvisited children count as Q = 0.5.
     """
     children = node.children
-    n_parent = node.visits if node.visits >= 1 else 1
+    scale = scales[node.visits]
     best_i = 0
     best_s = -math.inf
     i = 0
-    if use_ucb1:
-        scale = c * math.sqrt(math.log(n_parent))
+    if roots is not None:
         if node.is_max:
             for child in children:
                 nv = child.visits
-                s = (child.q if nv else 0.5) + scale / math.sqrt(nv + 1.0)
+                s = (child.q if nv else 0.5) + scale / roots[nv]
                 if s > best_s:
                     best_s = s
                     best_i = i
@@ -114,13 +145,12 @@ def _select_index(node: SearchNode, use_ucb1: bool, c: float) -> int:
         else:
             for child in children:
                 nv = child.visits
-                s = (1.0 - child.q if nv else 0.5) + scale / math.sqrt(nv + 1.0)
+                s = (1.0 - child.q if nv else 0.5) + scale / roots[nv]
                 if s > best_s:
                     best_s = s
                     best_i = i
                 i += 1
     else:
-        scale = c * math.sqrt(n_parent)
         if node.is_max:
             for child in children:
                 nv = child.visits
@@ -140,10 +170,13 @@ def _select_index(node: SearchNode, use_ucb1: bool, c: float) -> int:
     return best_i
 
 
-def _expand(node: SearchNode, state: GameState) -> None:
+def _expand(node: SearchNode, state: GameState) -> bool:
+    """Add all of ``node``'s children; True when their priors are uniform
+    (the state gave none)."""
     actions = state.actions
     priors = state.action_priors
-    if priors is not None:
+    uniform = priors is None
+    if not uniform:
         if len(priors) != len(actions):
             raise ValueError("prior vector length does not match action count")
         total = float(sum(priors))
@@ -156,6 +189,7 @@ def _expand(node: SearchNode, state: GameState) -> None:
     child_max = not node.is_max
     node.child_actions = actions
     node.children = [SearchNode(child_max, p) for p in priors]
+    return uniform
 
 
 def run_search(root: GameState, config: SearchConfig) -> SearchResult:
@@ -169,8 +203,8 @@ def run_search(root: GameState, config: SearchConfig) -> SearchResult:
 
     strategy = config.backup
     evaluator = config.evaluator
-    use_ucb1 = config.policy == "UCB1"
-    c = config.exploration
+    scales, roots = _score_tables(config.policy, config.exploration,
+                                 config.simulations)
     rollout_rng = random.Random(derive(config.seed, "rollout"))
 
     root_node = SearchNode(is_max=root.to_move is PlayerRole.MAX)
@@ -179,7 +213,7 @@ def run_search(root: GameState, config: SearchConfig) -> SearchResult:
         node = root_node
         path = [node]
         while node.children is not None:
-            i = _select_index(node, use_ucb1, c)
+            i = _select_index(node, scales, roots)
             node = node.children[i]
             path.append(node)
         state = states.get(node)
@@ -189,8 +223,11 @@ def run_search(root: GameState, config: SearchConfig) -> SearchResult:
         if state.terminal:
             value = state.terminal_return
         else:
-            _expand(node, state)
-            i = _select_index(node, use_ucb1, c)
+            # A fresh node has no visits, so with uniform priors every
+            # child scores the same float (NaN for c = inf, and NaN never
+            # beats -inf): the first-best rule picks child 0.
+            uniform = _expand(node, state)
+            i = 0 if uniform else _select_index(node, scales, roots)
             value = evaluate(state.apply(node.child_actions[i]),
                              evaluator, rollout_rng)
         strategy.backpropagate(path, value)

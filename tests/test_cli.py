@@ -471,7 +471,9 @@ depth = 3
         assert len(lines) == len(played) == 3
         for i, line in enumerate(lines, 1):
             assert re.match(rf"optimize: {i}/3 knots \(.*\) win-rate [0-9.]+ "
-                            rf"best [0-9.]+ elapsed [0-9.]+s$", line), line
+                            rf"best [0-9.]+ elapsed [0-9.]+s eta [0-9.]+s$",
+                            line), line
+        assert lines[-1].endswith(" eta 0.0s")
         assert captured.out.startswith("best softmax profile: (")
 
 

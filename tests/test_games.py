@@ -266,6 +266,32 @@ class TestEvaluators:
             assert ev.evaluate(state) == expected
             assert sent.evaluate(state) == expected
 
+    @pytest.mark.parametrize("seed", [3, 2**64 - 5])
+    def test_noise_is_the_derive_formula_on_synthetic_trees(self, seed):
+        # Synthetic keys carry the tree's 64-bit fingerprint, a tag far
+        # longer than tic-tac-toe's bitboards.
+        spec = SyntheticTreeSpec(branching=3, depth=4, leaf_win_prob=0.6,
+                                 seed=seed % 1000)
+        ev = NoisyOracleEvaluator(noise_sd=0.3, seed=seed)
+        sent = pickle.loads(pickle.dumps(ev))
+        states = [generate_synthetic_tree(spec)]
+        for state in states:
+            assert state.state_key()[1] == state.tree.fingerprint
+            key = derive(seed, "oracle-noise", *map(str, state.state_key()))
+            u1 = (derive(key, 1) + 1) / 18446744073709551617.0
+            u2 = (derive(key, 2) + 1) / 18446744073709551617.0
+            z = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+            expected = min(1.0, max(0.0, minimax_value(state) + 0.3 * z))
+            assert ev.evaluate(state) == expected
+            assert sent.evaluate(state) == expected
+            if not state.terminal:
+                states.extend(state.apply(a) for a in state.actions)
+        assert len(states) == 1 + 3 + 9 + 27 + 81
+
+    def test_state_key_cache_is_bounded(self):
+        maxsize = oracle._key_bytes.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize <= 2**16
+
     def test_noise_clamped_to_unit_interval(self):
         ev = NoisyOracleEvaluator(noise_sd=50.0, seed=1)
         vals = [ev.evaluate(empty_board().apply(a)) for a in range(9)]

@@ -8,8 +8,12 @@ best child, and leave every node with a visited child holding exactly the
 reference parent update of those children; the averaging backups give
 exactly the weighted mean of the returns fed to a node, summed in arrival
 order; and a match between two drawn backups on the trap pool gives the
-same result and game records at one worker and at two.
+same result and game records at one worker and at two.  The tree policy
+read from score tables picks the first argmax of its score formula
+computed per child, and a fresh node with uniform priors picks child 0.
 """
+
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +22,8 @@ from mctsopt.backup import (CoulomBackup, ErwaBackup, FeedbackBackup,
                             MonotoneBackup, SoftmaxBackup, StandardBackup,
                             coulom_parent_update, softmax_parent_update)
 from mctsopt.games.tictactoe import empty_board
-from mctsopt.search import SearchConfig, SearchNode, run_search
+from mctsopt.search import (SearchConfig, SearchNode, _select_index, run_search,
+                            _score_tables)
 from mctsopt.tournament import MatchConfig, SyntheticPool, run_match
 from mctsopt.weights import FEEDBACK_PROFILES, build_weight_table, feedback_weight
 
@@ -150,3 +155,67 @@ def test_match_is_worker_count_invariant(data, kinds, games, sims, seed):
     match = MatchConfig(pool=TRAP_POOL, engine_a=engine_a, engine_b=engine_b,
                         games=games, sims_per_move=sims, seed=seed)
     assert run_match(match, workers=1) == run_match(match, workers=2)
+
+
+EXPLORATIONS = (0.0, 0.1, 1.0, 2.5, math.inf)
+
+
+def direct_pick(parent, policy, c):
+    """First argmax of the tree policy's score, each child's computed with
+    math.sqrt and math.log as the formula reads."""
+    n_parent = max(parent.visits, 1)
+    best_i, best_s = 0, -math.inf
+    for i, child in enumerate(parent.children):
+        nv = child.visits
+        q = (child.q if parent.is_max else 1.0 - child.q) if nv else 0.5
+        if policy == "UCB1":
+            s = q + c * math.sqrt(math.log(n_parent)) / math.sqrt(nv + 1.0)
+        else:
+            s = q + c * math.sqrt(n_parent) * child.prior / (nv + 1.0)
+        if s > best_s:
+            best_i, best_s = i, s
+    return best_i
+
+
+def parent_node(is_max, qs, visits, priors, extra_visits):
+    parent = SearchNode(is_max=is_max)
+    parent.children = []
+    for q, n, p in zip(qs, visits, priors):
+        child = SearchNode(is_max=not is_max, prior=p)
+        child.q, child.visits = q, n
+        parent.children.append(child)
+    parent.visits = sum(visits) + extra_visits
+    return parent
+
+
+@pytest.mark.parametrize("is_max", [True, False])
+@pytest.mark.parametrize("policy", ["PUCT", "UCB1"])
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), k=st.integers(1, 8), c=st.sampled_from(EXPLORATIONS),
+       unvisited=st.booleans(), uniform=st.booleans(),
+       extra_visits=st.integers(0, 1))
+def test_table_pick_is_the_formula_argmax(policy, is_max, data, k, c,
+                                          unvisited, uniform, extra_visits):
+    qs = data.draw(st.lists(st.one_of(st.sampled_from((0.0, 0.5, 1.0)),
+                                      st.floats(0.0, 1.0)),
+                            min_size=k, max_size=k))
+    visits = [0] * k if unvisited else data.draw(
+        st.lists(st.integers(0, 60), min_size=k, max_size=k))
+    priors = [1.0 / k] * k if uniform else data.draw(
+        st.lists(st.sampled_from((0.0, 0.1, 0.25, 0.5, 1.0)),
+                 min_size=k, max_size=k))
+    parent = parent_node(is_max, qs, visits, priors, extra_visits)
+    scales, roots = _score_tables(policy, c, parent.visits + 61)
+    assert _select_index(parent, scales, roots) == direct_pick(parent, policy, c)
+
+
+@pytest.mark.parametrize("is_max", [True, False])
+@pytest.mark.parametrize("policy", ["PUCT", "UCB1"])
+@pytest.mark.parametrize("c", EXPLORATIONS)
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(qs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=9))
+def test_fresh_node_with_uniform_priors_picks_child_zero(policy, is_max, c, qs):
+    # run_search takes child 0 at such a node without scoring.
+    parent = parent_node(is_max, qs, [0] * len(qs), [1.0 / len(qs)] * len(qs), 0)
+    scales, roots = _score_tables(policy, c, 1)
+    assert _select_index(parent, scales, roots) == 0

@@ -13,7 +13,8 @@ from mctsopt.games.base import GameState
 from mctsopt.games.oracle import minimax_value
 from mctsopt.games.synthetic import SyntheticTree
 from mctsopt.games.tictactoe import empty_board
-from mctsopt.search import SearchConfig, SearchNode, _select_index, run_search
+from mctsopt.search import (SearchConfig, SearchNode, _select_index, run_search,
+                            _score_tables)
 from mctsopt.tournament import SyntheticPool
 
 
@@ -32,8 +33,12 @@ def make_parent(child_stats, is_max=True):
 
 
 def select_child(parent, policy, c):
-    """Action the tree policy picks at an expanded node."""
-    return parent.child_actions[_select_index(parent, policy == "UCB1", c)]
+    """Action the tree policy picks at an expanded node, with score tables
+    built as run_search builds them, for a budget just past the parent's
+    and every child's visit count."""
+    budget = max([parent.visits] + [ch.visits for ch in parent.children]) + 1
+    scales, roots = _score_tables(policy, c, budget)
+    return parent.child_actions[_select_index(parent, scales, roots)]
 
 
 class TestScores:
