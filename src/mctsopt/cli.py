@@ -42,9 +42,8 @@ from .config import (Config, ConfigError, REQUIRED, format_sections,
 from .games.oracle import NoisyOracleEvaluator, RandomRolloutEvaluator
 from .games.synthetic import SyntheticTreeSpec
 from .search import SearchConfig, run_search
-from .seeds import derive
 from .tournament import (MatchConfig, SyntheticPool, TicTacToePool, run_match,
-                         winrate_objective)
+                         wilson_interval, winrate_objective)
 from .weights import build_weight_table
 
 # Section tables: key -> (type, default).  The SyntheticTreeSpec fields a
@@ -111,9 +110,6 @@ _ENGINE_KEYS = {"policy": (str, SearchConfig.policy),
 _BACKUP_KEY = {"backup": (str, "standard")}
 _SEARCH_KEYS = {"simulations": (int, SearchConfig.simulations),
                 "seed": (int, SearchConfig.seed), **_BACKUP_KEY}
-# Under optimize, evaluation i plays at derive([optimize] seed, "eval", i),
-# so [match] seed is read there but not used.  It is not rejected, because
-# existing optimize configs (the benchmark's among them) set it.
 _MATCH_KEYS = {"games": (int, REQUIRED), "sims_per_move": (int, REQUIRED),
                "seed": (int, MatchConfig.seed)}
 # The keys from m to seed are OptimizeConfig's fields, with its defaults.
@@ -313,7 +309,7 @@ def _cmd_tournament(config: Config, args) -> int:
 
 def _cmd_optimize(config: Config, args) -> int:
     settings = config.read("optimize", _OPTIMIZE_KEYS)
-    kind, horizon = settings.pop("kind"), settings.pop("horizon")
+    kind, horizon = settings.pop("kind").lower(), settings.pop("horizon")
     if kind not in ("softmax", "monotone"):
         raise config.error("optimize", "kind",
                            f"kind must be softmax or monotone, got {kind!r}")
@@ -356,7 +352,6 @@ def _cmd_optimize(config: Config, args) -> int:
         i = len(history_rows)
         try:
             return winrate_objective(tuple(x), kind, base, horizon=horizon,
-                                     seed=derive(opt.seed, "eval", i),
                                      workers=args.workers)
         except (ValueError, OSError) as exc:
             raise ValueError(f"evaluation {i + 1} of {opt.n_iter}: {exc}") from exc
@@ -377,8 +372,10 @@ def _cmd_optimize(config: Config, args) -> int:
         done = len(history_rows)
         elapsed = time.perf_counter() - start
         eta = elapsed / done * (opt.n_iter - done)
+        lo, hi = wilson_interval(entry.value * base.games, base.games)
         print(f"optimize: {done}/{opt.n_iter} knots {knots} "
-              f"win-rate {entry.value:.4f} best {incumbent:.4f} "
+              f"win-rate {entry.value:.4f} ci95 [{lo:.4f}, {hi:.4f}] "
+              f"best {incumbent:.4f} "
               f"elapsed {elapsed:.1f}s eta {eta:.1f}s", file=sys.stderr)
 
     best_x, history = bayesopt_loop(objective, opt, callback=on_evaluation)

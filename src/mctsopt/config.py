@@ -83,7 +83,7 @@ def read_config(path: str) -> Config:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}:0: cannot read config: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()

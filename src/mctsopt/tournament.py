@@ -154,9 +154,9 @@ def run_match(config: MatchConfig, workers: int = 1) -> tuple[MatchResult, list[
 
 
 def winrate_objective(knots, kind: str, base: MatchConfig, horizon: int,
-                      seed: int, workers: int = 1) -> float:
-    """Win-rate of a weight-profile engine against standard backup, in
-    ``base`` played at match seed ``seed``.
+                      workers: int = 1) -> float:
+    """Win-rate of a weight-profile engine against standard backup in the
+    games of ``base``, its seed included.
 
     ``kind`` selects the strategy family: "monotone" builds a w0 = 1
     averaging profile, "softmax" a w0 = 0 sharpening profile, each over
@@ -173,7 +173,6 @@ def winrate_objective(knots, kind: str, base: MatchConfig, horizon: int,
         base,
         engine_a=replace(base.engine_a, backup=strategy),
         engine_b=replace(base.engine_b, backup=StandardBackup()),
-        seed=seed,
     )
     result, _ = run_match(match, workers=workers)
     return result.win_rate_a

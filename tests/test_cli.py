@@ -18,7 +18,6 @@ from mctsopt.cli import (_COMMANDS, _KINDS, _MATCH_KEYS, _OPTIMIZE_KEYS,
 from mctsopt.config import REQUIRED, read_config
 from mctsopt.games.synthetic import SyntheticTreeSpec
 from mctsopt.tournament import MatchConfig
-from mctsopt.seeds import derive
 
 TYPE_NAMES = {str: "string", int: "integer", float: "number"}
 # A value each backup key accepts.
@@ -94,13 +93,13 @@ OPTIMIZE_LAST_INI = OPTIMIZE_MATCH + OPTIMIZE_SECTION
 @pytest.fixture
 def played(monkeypatch):
     """Replace the match objective of optimize with a deterministic fake
-    of the knots and the evaluation seed; returns the (knots, seed) of
+    of the knots and the match seed; returns the (knots, match seed) of
     each call."""
     calls = []
 
-    def fake_winrate(knots, kind, base, horizon, seed, workers):
-        calls.append((knots, seed))
-        return 0.5 - 0.01 * sum((k + 3.0) ** 2 for k in knots) + seed % 97 / 1e4
+    def fake_winrate(knots, kind, base, horizon, workers):
+        calls.append((knots, base.seed))
+        return 0.5 - 0.01 * sum((k + 3.0) ** 2 for k in knots) + base.seed % 97 / 1e4
 
     monkeypatch.setattr("mctsopt.cli.winrate_objective", fake_winrate)
     return calls
@@ -341,9 +340,8 @@ class TestOptimize:
         assert rows[0] == ["eval", "knots", "win_rate", "games", "timestamp"]
         assert [r[0] for r in rows[1:]] == ["0", "1", "2"]
         assert all(r[3] == "4" for r in rows[1:])     # games column
-        # Evaluation i plays at derive([optimize] seed, "eval", i).
-        assert [seed for _, seed in played] == [derive(0, "eval", i)
-                                                for i in range(3)]
+        # Every evaluation plays the games of the [match] seed.
+        assert [seed for _, seed in played] == [MatchConfig.seed] * 3
         best = json.load(open(os.path.join(out, "best.json")))
         assert len(best["knots"]) == 2
 
@@ -393,18 +391,35 @@ depth = 3
         assert all(r[3] == "4" for r in rows[1:])     # games column
         assert all(0.0 <= float(r[2]) <= 1.0 for r in rows[1:])
 
-    def test_match_seed_is_read_but_not_used(self, tmp_path):
-        # Evaluation i plays at derive([optimize] seed, "eval", i), so the
-        # [match] seed changes nothing.
-        histories = []
-        for seed in (2, 99):
-            config = write_config(tmp_path, f"o{seed}.ini", OPTIMIZE_MATCH_INI.replace(
+    def test_match_seed_decides_the_games(self, tmp_path, played):
+        # [match] seed reaches every evaluation; --seed moves only the
+        # optimiser's draws.
+        runs = {}
+        for seed, flag in ((2, ()), (99, ()), (99, ("--seed", "5"))):
+            config = write_config(tmp_path, "o.ini", OPTIMIZE_MATCH_INI.replace(
                 "sims_per_move = 20\n", f"sims_per_move = 20\nseed = {seed}\n"))
-            out = str(tmp_path / f"o{seed}")
-            assert run_cli("optimize", "--config", config, "--out", out) == 0
-            with open(os.path.join(out, "history.csv")) as fh:
-                histories.append(strip_timestamps(fh.read()))
-        assert histories[0] == histories[1]
+            played.clear()
+            assert run_cli("optimize", "--config", config,
+                           "--out", str(tmp_path / f"o{len(runs)}"), *flag) == 0
+            runs[seed, flag] = list(played)
+        for (seed, _), calls in runs.items():
+            assert [s for _, s in calls] == [seed] * 3
+        # The fake scores both match seeds alike (2 = 99 mod 97), so the
+        # same optimiser seed proposes the same knots.
+        knots = {key: [k for k, _ in calls] for key, calls in runs.items()}
+        assert knots[2, ()] == knots[99, ()]
+        assert knots[99, ()] != knots[99, ("--seed", "5")]
+
+    @pytest.mark.parametrize("name", ["Softmax", "SOFTMAX", "Monotone"])
+    def test_kind_is_case_insensitive(self, name, tmp_path, capsys, played):
+        config = write_config(tmp_path, "o.ini", OPTIMIZE_MATCH_INI.replace(
+            "kind = softmax", f"kind = {name}"))
+        out = str(tmp_path / "ok")
+        assert run_cli("optimize", "--config", config, "--out", out) == 0
+        assert json.load(open(os.path.join(out, "best.json")))["kind"] == \
+            name.lower()
+        assert capsys.readouterr().out.startswith(f"best {name.lower()} profile")
+        assert len(played) == 3
 
     def test_box_beyond_knot_limit_rejected_before_any_game(
             self, tmp_path, capsys, played):
@@ -470,9 +485,13 @@ depth = 3
         lines = captured.err.splitlines()
         assert len(lines) == len(played) == 3
         for i, line in enumerate(lines, 1):
-            assert re.match(rf"optimize: {i}/3 knots \(.*\) win-rate [0-9.]+ "
-                            rf"best [0-9.]+ elapsed [0-9.]+s eta [0-9.]+s$",
-                            line), line
+            match = re.match(rf"optimize: {i}/3 knots \(.*\) win-rate ([0-9.]+) "
+                             rf"ci95 \[([0-9.]+), ([0-9.]+)\] "
+                             rf"best [0-9.]+ elapsed [0-9.]+s eta [0-9.]+s$",
+                             line)
+            assert match, line
+            rate, lo, hi = map(float, match.groups())
+            assert lo < rate < hi           # the Wilson interval of 4 games
         assert lines[-1].endswith(" eta 0.0s")
         assert captured.out.startswith("best softmax profile: (")
 
@@ -511,6 +530,17 @@ typo_key = 5
             assert capsys.readouterr().err == \
                 "error: --workers must be at least 1\n"
         assert not out.exists()
+
+    def test_config_that_is_not_utf8(self, tmp_path, capsys):
+        # Given directly or through a descriptor, the bad file is named.
+        bad = tmp_path / "bad.ini"
+        bad.write_bytes(b"[game]\nbranching = 3\xff\n")
+        ref = write_config(tmp_path, "ref.ini", f"[game]\ndescriptor = {bad}\n")
+        for config in (str(bad), ref):
+            assert run_cli("gen-game", "--config", config,
+                           "--out", str(tmp_path / "x")) == 2
+            err = capsys.readouterr().err
+            assert f"error: {bad}:0: cannot read config: 'utf-8' codec" in err
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert run_cli("dump-profile", "--config",

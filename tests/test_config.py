@@ -92,6 +92,13 @@ class TestErrors:
         with pytest.raises(ConfigError):
             read_config(str(tmp_path / "missing.ini"))
 
+    def test_file_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.ini"
+        path.write_bytes(b"[s]\nname = caf\xe9\n")
+        with pytest.raises(ConfigError, match=rf"^{path}:0: cannot read config: "
+                                              r"'utf-8' codec can't decode"):
+            read_config(str(path))
+
 
 class TestAtomicWrite:
     def test_writes_and_replaces(self, tmp_path):

@@ -1,11 +1,15 @@
 """Match runner: exact symmetry laws, intervals, objective plumbing."""
 
+from dataclasses import replace
+
 import pytest
 
+from mctsopt import tournament
 from mctsopt.backup import SoftmaxBackup, StandardBackup
 from mctsopt.games.synthetic import (SyntheticTreeSpec, generate_synthetic_tree,
                                      trap_priors)
 from mctsopt.search import SearchConfig
+from mctsopt.seeds import derive
 from mctsopt.tournament import (MatchConfig, SyntheticPool, TicTacToePool,
                                 play_game, run_match, wilson_interval,
                                 winrate_objective)
@@ -185,17 +189,15 @@ class TestWinrateObjective:
 
     def test_reproducible(self):
         knots = (-3.0, -2.0, -1.0)
-        a = winrate_objective(knots, "softmax", self.BASE, horizon=60,
-                              seed=self.BASE.seed)
-        b = winrate_objective(knots, "softmax", self.BASE, horizon=60,
-                              seed=self.BASE.seed)
+        a = winrate_objective(knots, "softmax", self.BASE, horizon=60)
+        b = winrate_objective(knots, "softmax", self.BASE, horizon=60)
         assert a == b
 
     def test_degenerate_softmax_splits_against_standard(self):
         # w stays ~1e-304: parent updates are visit-weighted means, which
         # behave statistically like standard backup.
         rate = winrate_objective((-700.0,) * 3, "softmax", self.BASE,
-                                 horizon=60, seed=self.BASE.seed)
+                                 horizon=60)
         lo, hi = wilson_interval(rate * self.BASE.games, self.BASE.games)
         assert lo <= 0.5 <= hi
 
@@ -203,15 +205,29 @@ class TestWinrateObjective:
         # Constant zero knots give weight exactly 1 per visit: the engines
         # are bitwise identical, so mirrored pairs split every point.
         rate = winrate_objective((0.0, 0.0, 0.0), "monotone", self.BASE,
-                                 horizon=60, seed=self.BASE.seed)
+                                 horizon=60)
         assert rate == 0.5
+
+    def test_games_are_those_of_the_base_seed(self, monkeypatch):
+        played = []
+
+        def recording(config, workers=1):
+            result, records = run_match(config, workers)
+            played.append([(g.pair_seed, g.moves) for g in records])
+            return result, records
+
+        monkeypatch.setattr(tournament, "run_match", recording)
+        for seed in (17, 18):
+            winrate_objective((-3.0, -2.0, -1.0), "softmax",
+                              replace(self.BASE, games=4, seed=seed), horizon=60)
+        assert [games[0][0] for games in played] == \
+            [derive(17, "pair", 0), derive(18, "pair", 0)]
+        assert played[0] != played[1]
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            winrate_objective((0.0, 0.0), "maximal", self.BASE, horizon=60,
-                              seed=self.BASE.seed)
+            winrate_objective((0.0, 0.0), "maximal", self.BASE, horizon=60)
 
     def test_profile_errors_propagate(self):
         with pytest.raises(ValueError):
-            winrate_objective((0.0, 800.0), "softmax", self.BASE, horizon=60,
-                              seed=self.BASE.seed)
+            winrate_objective((0.0, 800.0), "softmax", self.BASE, horizon=60)
