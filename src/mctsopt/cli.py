@@ -66,7 +66,8 @@ _PROFILE_KEYS = {"knots": (str, REQUIRED), "horizon": (int, REQUIRED),
 # called, so a test or the benchmark's tracing can swap them.
 _KINDS = {
     "kind": {
-        # gen-game writes trap_actions into a descriptor for reference only.
+        # gen-game writes trap_actions into a descriptor; gen-game and
+        # analyze check a stated list against the tree they draw (_root).
         "synthetic": (
             lambda keys: SyntheticPool(**{key: keys[key] for key in _SYNTHETIC_KEYS}),
             {**_SYNTHETIC_KEYS, "trap_actions": (str, None)}),
@@ -149,13 +150,24 @@ def _load_game(config: Config, section: str):
         raise config.error(section, None, str(exc)) from exc
 
 
-def _root(game, seed: int, config: Config, section: str):
-    """The root position of ``game`` at ``seed`` (for gen-game and analyze);
-    a tree that cannot be drawn is an error anchored at its section."""
+def _root(game, keys: dict, config: Config, section: str):
+    """The root position of ``game`` at the seed in ``keys`` (for gen-game
+    and analyze).  A tree that cannot be drawn is an error anchored at its
+    section, and a stated trap_actions list other than the drawn tree's is
+    one anchored at that key."""
+    seed = keys.get("seed", SyntheticTreeSpec.seed)
     try:
-        return game.make(seed)
+        root = game.make(seed)
     except ValueError as exc:
         raise config.error(section, None, str(exc)) from exc
+    stated = keys.get("trap_actions")
+    if stated is not None:
+        traps = ", ".join(map(str, root.tree.trap_actions)) or "none"
+        if stated.replace(" ", "") != traps.replace(" ", ""):
+            raise config.error(section, "trap_actions",
+                               f"trap_actions = {stated!r}, but the tree at "
+                               f"seed {seed} has trap actions {traps}")
+    return root
 
 
 def _choose(config: Config, section: str, key: str, default: str):
@@ -222,7 +234,7 @@ def _cmd_gen_game(config: Config, args) -> int:
                                             f"descriptors; got kind={game.kind}")
     if args.seed is not None:
         keys["seed"] = args.seed
-    tree = _root(game, keys["seed"], source, section).tree
+    tree = _root(game, keys, source, section).tree
     descriptor = {"kind": game.kind}
     for key in _SYNTHETIC_KEYS:
         if keys[key] is not None:
@@ -239,7 +251,7 @@ def _cmd_gen_game(config: Config, args) -> int:
 
 def _cmd_analyze(config: Config, args) -> int:
     game, keys, source, section = _load_game(config, "game")
-    state = _root(game, keys.get("seed", SyntheticTreeSpec.seed), source, section)
+    state = _root(game, keys, source, section)
     engine = _load_engine(config, "search", _SEARCH_KEYS)
     if args.seed is not None:
         engine = replace(engine, seed=args.seed)
@@ -270,7 +282,11 @@ def _load_match(config: Config, seed: int | None,
     sections; ``seed``, when given, replaces the [match] seed, and
     ``engine_keys`` are the keys the engine sections add (_load_engine)."""
     match = config.read("match", _MATCH_KEYS)
-    pool = _load_game(config, "pool")[0]
+    pool, keys, source, section = _load_game(config, "pool")
+    if keys.get("trap_actions") is not None:
+        raise source.error(section, "trap_actions",
+                           "a pool draws a new tree for every pair, so it "
+                           "takes no trap_actions")
     engine_a = _load_engine(config, "engine_a", engine_keys)
     engine_b = _load_engine(config, "engine_b", engine_keys)
     if seed is not None:

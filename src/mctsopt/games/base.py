@@ -15,10 +15,6 @@ class PlayerRole(Enum):
     MIN = -1
 
 
-class NodeLimitError(RuntimeError):
-    """Raised when exact evaluation would exceed the node ceiling."""
-
-
 class GameState:
     """Immutable game position.
 

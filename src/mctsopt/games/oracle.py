@@ -1,13 +1,13 @@
 """Exact minimax oracle and the two leaf evaluators.
 
-Synthetic trees compute their exact values bottom-up on first use.  Other
-games are searched, and the search refuses (rather than truncates) when it
-would exceed the node ceiling, so a returned value is always exact.
-Tic-tac-toe is solved whole on first use and then answered by lookup.  The
-noisy oracle evaluator stands in for a learned value function: exact value
-plus clamped Gaussian noise, keyed by (state, seed) so concurrent searches
-see identical noise.  Its noise takes one hash pass per derived value, and
-each state key's encoded bytes are kept in a bounded per-process cache.
+Exact values come from one table per game.  Synthetic trees compute their
+level arrays bottom-up on first use; tic-tac-toe is solved over its
+reachable positions, children first, on first use.  Any other position
+has no exact value and raises ValueError.  The noisy oracle evaluator
+stands in for a learned value function: exact value plus clamped Gaussian
+noise, keyed by (state, seed) so concurrent searches see identical noise.
+Its noise takes one hash pass per derived value, and each state key's
+encoded bytes are kept in a bounded per-process cache.
 """
 
 from __future__ import annotations
@@ -16,65 +16,43 @@ import functools
 import math
 
 from ..seeds import encode, hasher, reseed
-from .base import GameState, NodeLimitError, PlayerRole
-from .synthetic import MAX_ORACLE_NODES, SyntheticTreeState
-from .tictactoe import TicTacToeState, empty_board
+from .base import GameState, PlayerRole
+from .synthetic import SyntheticTreeState
+from .tictactoe import TicTacToeState, reachable_states
 
 
 def minimax_value(state: GameState) -> float:
     """Exact game value of ``state`` in [0, 1] from MAX's perspective.
 
-    Synthetic trees answer from cached bottom-up level arrays; a tree
-    already holds every leaf in memory, so no node ceiling applies.
-    Reachable tic-tac-toe positions answer from a table of every such
-    position, solved once on first use.  Everything else (other games,
-    unreachable boards) runs a memoized depth-first search, which raises
-    NodeLimitError beyond MAX_ORACLE_NODES states instead of returning an
-    approximate value.
+    Synthetic trees answer from cached bottom-up level arrays.  Tic-tac-toe
+    positions reachable from the empty board answer from a table solved
+    once on first use.  Any other position raises ValueError.
     """
     if isinstance(state, SyntheticTreeState):
         return state.tree.node_value(state.depth, state.index)
-
     if isinstance(state, TicTacToeState):
         value = _solved_tictactoe().get((state.xs, state.os, state.x_to_move))
         if value is not None:
             return value
-    return _search(state, MAX_ORACLE_NODES, {})
+    raise ValueError(f"no exact value for the position {state!r}")
 
 
 @functools.cache
 def _solved_tictactoe() -> dict:
     """(xs, os, x_to_move) -> exact value, for every tic-tac-toe position
-    reachable from the empty board; solved on the first call only."""
-    memo: dict = {}
-    _search(empty_board(), MAX_ORACLE_NODES, memo)
-    # In a reachable position X moves exactly when both have as many marks.
-    return {(xs, os, xs.bit_count() == os.bit_count()): v
-            for (_, xs, os), v in memo.items()}
-
-
-def _search(state: GameState, node_limit: int, memo: dict) -> float:
-    """Memoized depth-first minimax of ``state``, filling ``memo`` by
-    state_key; visiting more than ``node_limit`` states raises."""
-    budget = [node_limit]
-
-    def value(s: GameState) -> float:
-        key = s.state_key()
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise NodeLimitError(f"exact search exceeded {node_limit} nodes")
+    reachable from the empty board; solved on the first call only.  The
+    positions come in breadth-first order, so walking them backwards
+    solves every child before its parent."""
+    table: dict = {}
+    for s in reversed(reachable_states()):
         if s.terminal:
             v = s.terminal_return
         else:
-            children = (value(s.apply(a)) for a in s.actions)
-            v = max(children) if s.to_move is PlayerRole.MAX else min(children)
-        memo[key] = v
-        return v
-
-    return value(state)
+            children = [s.apply(a) for a in s.actions]
+            values = [table[c.xs, c.os, c.x_to_move] for c in children]
+            v = max(values) if s.x_to_move else min(values)
+        table[s.xs, s.os, s.x_to_move] = v
+    return table
 
 
 def best_actions(state: GameState) -> tuple[list, float]:
@@ -154,14 +132,3 @@ def _key_bytes(key) -> bytes:
     once per process.  Bounded, so a long run over a large synthetic tree
     keeps at most 2**16 keys; tic-tac-toe has 5,478 positions."""
     return encode(map(str, key))
-
-
-def evaluate(state: GameState, evaluator, rng=None) -> float:
-    """Return an estimate of ``state``'s value using ``evaluator``.
-
-    Terminal states return their exact terminal value under either
-    evaluator.
-    """
-    if state.terminal:
-        return state.terminal_return
-    return evaluator.evaluate(state, rng)

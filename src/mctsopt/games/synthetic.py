@@ -20,7 +20,7 @@ import numpy as np
 from ..seeds import derive
 from .base import GameState, PlayerRole
 
-# Guard for eager leaf materialization and the exact oracle.
+# Guard for eager leaf materialization.
 MAX_ORACLE_NODES = 10**7
 
 # Attempt cap when redrawing a subtree to make a non-trap action winnable.

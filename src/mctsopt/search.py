@@ -3,7 +3,8 @@
 Each iteration selects a path with UCB1 or PUCT, expands the first
 unexpanded node it reaches (adding all children at once, their priors the
 state's normalized action_priors or uniform ones), evaluates the state of
-the child the tree policy picks there, and hands the return to the backup
+the child the tree policy picks there (a terminal child gives its own
+return, without the evaluator), and hands the return to the backup
 strategy.  Nodes hold statistics only, no game state.  An expanded node
 is never terminal, so the descent walks expanded nodes by their statistics
 alone and reads a state once per simulation, at the node where it stops.
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 
 from .backup import BackupStrategy, StandardBackup
 from .games.base import GameState, PlayerRole
-from .games.oracle import RandomRolloutEvaluator, evaluate
+from .games.oracle import RandomRolloutEvaluator
 from .seeds import derive
 
 POLICIES = ("UCB1", "PUCT")
@@ -228,8 +229,9 @@ def run_search(root: GameState, config: SearchConfig) -> SearchResult:
             # beats -inf): the first-best rule picks child 0.
             uniform = _expand(node, state)
             i = 0 if uniform else _select_index(node, scales, roots)
-            value = evaluate(state.apply(node.child_actions[i]),
-                             evaluator, rollout_rng)
+            child = state.apply(node.child_actions[i])
+            value = (child.terminal_return if child.terminal
+                     else evaluator.evaluate(child, rollout_rng))
         strategy.backpropagate(path, value)
 
     visit_distribution = {

@@ -299,6 +299,47 @@ class TestGameSection:
                              "[game]\nkind = chess\n" + self.SEARCH)
         assert "c.ini:2: unknown kind 'chess'" in err
 
+    # At seed 5 this tree's one trap is root action 0.
+    TRAPPED = ("[game]\nbranching = 4\ndepth = 6\ntrap_level = 2\n"
+               "trap_count = 1\nseed = 5\n")
+
+    @pytest.mark.parametrize("subcommand", ["gen-game", "analyze"])
+    def test_trap_actions_must_be_those_of_the_drawn_tree(self, subcommand,
+                                                           tmp_path, capsys):
+        search = self.SEARCH if subcommand == "analyze" else ""
+        out = str(tmp_path / "ok")
+        assert run_cli(subcommand, "--config", write_config(
+            tmp_path, "ok.ini", self.TRAPPED + "trap_actions = 0\n" + search),
+            "--out", out) == 0
+        err = self.run_error(tmp_path, capsys, subcommand,
+                             self.TRAPPED + "trap_actions = 3\n" + search)
+        assert ("c.ini:7: trap_actions = '3', but the tree at seed 5 has "
+                "trap actions 0") in err
+
+    def test_trap_actions_checked_at_the_seed_gen_game_draws(self, tmp_path,
+                                                              capsys):
+        config = write_config(tmp_path, "c.ini",
+                              self.TRAPPED + "trap_actions = 0\n")
+        out = str(tmp_path / "out")
+        assert run_cli("gen-game", "--config", config, "--out", out,
+                       "--seed", "7") == 2
+        assert os.listdir(out) == []
+        assert ("c.ini:7: trap_actions = '0', but the tree at seed 7 has "
+                "trap actions 2") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("by_ref", [False, True], ids=["inline", "descriptor"])
+    def test_pool_takes_no_trap_actions(self, by_ref, tmp_path, capsys):
+        # A pool draws a new tree for every pair, so no list can hold.
+        pool = "[pool]" + self.TRAPPED.partition("]")[2] + "trap_actions = 0\n"
+        if by_ref:
+            write_config(tmp_path, "d.ini", pool.replace("[pool]", "[game]"))
+            pool = f"[pool]\ndescriptor = {tmp_path / 'd.ini'}\n"
+        text = MATCH_INI.replace("[pool]\nbranching = 3\ndepth = 4\n", pool)
+        err = self.run_error(tmp_path, capsys, "tournament", text)
+        anchor = "d.ini:7" if by_ref else "c.ini:13"
+        assert (f"{anchor}: a pool draws a new tree for every pair, so it "
+                "takes no trap_actions") in err
+
 
 class TestTournament:
     def test_reruns_byte_identical_modulo_timestamp(self, tmp_path):

@@ -1,6 +1,7 @@
 """Every demo and README example runs against the package's public names,
-and those names are exactly the ones the demos, the README and the
-benchmark import from the top level."""
+those names are exactly the ones the demos, the README and the benchmark
+import from the top level, and every function and class the package
+defines is named somewhere outside its own definition."""
 
 import ast
 import inspect
@@ -59,3 +60,29 @@ def test_top_level_is_what_users_import():
     imported = set().union(*map(imported_from_top_level, sources))
     assert public_names(mctsopt) == imported
     assert public_names(mctsopt.games) == set()
+
+
+def test_every_definition_has_a_caller():
+    """Each non-dunder function and class in src/ appears as a word in
+    src/, demos/, bench/ or README.md outside its own definition."""
+    files = [*sorted((ROOT / "src").rglob("*.py")), *DEMOS,
+             *sorted((ROOT / "bench").glob("*.py")),
+             *sorted((ROOT / "bench").glob("*.md")), ROOT / "README.md"]
+    lines = {path: path.read_text().splitlines() for path in files}
+    unused = []
+    for path in files:
+        if path.suffix != ".py" or ROOT / "src" not in path.parents:
+            continue
+        for node in ast.walk(ast.parse("\n".join(lines[path]))):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            word = re.compile(rf"\b{re.escape(name)}\b")
+            own = range(node.lineno - 1, node.end_lineno)
+            if not any(word.search(line) for other, text in lines.items()
+                       for i, line in enumerate(text)
+                       if not (other == path and i in own)):
+                unused.append(f"{path.relative_to(ROOT)}:{node.lineno}: {name}")
+    assert unused == []

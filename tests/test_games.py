@@ -1,5 +1,6 @@
 """Game environments against brute-force and Monte-Carlo oracles."""
 
+import functools
 import math
 import os
 import pickle
@@ -12,21 +13,23 @@ import numpy as np
 import pytest
 
 from mctsopt.games import oracle
-from mctsopt.games.base import NodeLimitError, PlayerRole
+from mctsopt.games.base import PlayerRole
 from mctsopt.games.oracle import (NoisyOracleEvaluator, RandomRolloutEvaluator,
-                                  best_actions, evaluate, minimax_value)
-from mctsopt.games.synthetic import (MAX_ORACLE_NODES, SyntheticTreeSpec,
-                                     generate_synthetic_tree, trap_priors)
+                                  best_actions, minimax_value)
+from mctsopt.games.synthetic import (SyntheticTreeSpec, generate_synthetic_tree,
+                                     trap_priors)
 from mctsopt.games.tictactoe import (TicTacToeState, empty_board,
                                      reachable_states)
 from mctsopt.seeds import derive
 
 
-def brute_force_value(state):
-    """Independent minimax oracle walking the public GameState interface."""
+def brute_force_value(state, child_value=None):
+    """Independent minimax oracle walking the public GameState interface;
+    ``child_value`` values the children (default: this function)."""
     if state.terminal:
         return state.terminal_return
-    values = [brute_force_value(state.apply(a)) for a in state.actions]
+    values = [(child_value or brute_force_value)(state.apply(a))
+              for a in state.actions]
     return max(values) if state.to_move is PlayerRole.MAX else min(values)
 
 
@@ -174,8 +177,9 @@ class TestTicTacToe:
         assert minimax_value(state) == 1.0
 
     def test_immediate_win_for_o(self):
-        state = TicTacToeState(xs=0b000000011, os=0b000011000, x_to_move=False)
-        # O completes its row via cell 5: value 0 for MAX.
+        # X has a third mark, on cell 6, so O moves; O completes its row
+        # via cell 5 before X completes its own: value 0 for MAX.
+        state = TicTacToeState(xs=0b001000011, os=0b000011000, x_to_move=False)
         assert minimax_value(state) == 0.0
 
     def test_brute_force_agreement_from_midgame(self):
@@ -205,23 +209,23 @@ class TestTicTacToe:
         assert state.apply(0).to_move is PlayerRole.MIN
 
 
-class TestOracleCeiling:
-    def test_refuses_instead_of_truncating(self):
-        with pytest.raises(NodeLimitError):
-            oracle._search(empty_board(), 10, {})
-
-
 class TestSolvedTicTacToe:
     def test_table_equals_uncached_search_everywhere(self):
-        for state in reachable_states():
-            assert minimax_value(state) == \
-                oracle._search(state, MAX_ORACLE_NODES, {})
+        @functools.cache
+        def value(state):
+            return brute_force_value(state, value)
 
-    def test_wrong_mover_is_searched_not_looked_up(self):
-        # O to move on a board where X should move: not a reachable
-        # position, so its value comes from a search of its own.
+        states = reachable_states()
+        assert len(states) == 5478
+        for state in states:
+            assert minimax_value(state) == value(state)
+
+    def test_unreachable_board_raises(self):
+        # O to move on a board where X should move: no play from the
+        # empty board reaches it, so it has no exact value.
         state = TicTacToeState(xs=0b000000011, os=0b000011000, x_to_move=False)
-        assert minimax_value(state) == brute_force_value(state) == 0.0
+        with pytest.raises(ValueError):
+            minimax_value(state)
 
     def test_table_is_built_on_first_use_not_at_import(self):
         code = ("import mctsopt; from mctsopt.games import oracle; "
@@ -236,12 +240,11 @@ class TestSolvedTicTacToe:
 class TestEvaluators:
     def test_rollout_on_terminal_returns_its_value(self):
         won = TicTacToeState(xs=0b000000111, os=0b000011000, x_to_move=False)
-        assert evaluate(won, RandomRolloutEvaluator(),
-                        random.Random(0)) == 1.0
+        assert RandomRolloutEvaluator().evaluate(won, random.Random(0)) == 1.0
 
     def test_noiseless_oracle_is_exact(self):
         state = empty_board().apply(4)
-        assert evaluate(state, NoisyOracleEvaluator(noise_sd=0.0, seed=0)) == \
+        assert NoisyOracleEvaluator(noise_sd=0.0, seed=0).evaluate(state) == \
             minimax_value(state)
 
     def test_noise_reproducible_per_state(self):
