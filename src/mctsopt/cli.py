@@ -359,6 +359,9 @@ def _cmd_optimize(config: Config, args) -> int:
                            f"knots at hi = {opt.hi!r} give no {kind} "
                            f"profile: {exc}") from exc
 
+    # Engine B's moves in this run's games, replayed by later evaluations.
+    book = {}
+    booked = 0
     history_rows = []
     history_path = os.path.join(args.out, "history.csv")
     incumbent = -math.inf
@@ -368,12 +371,12 @@ def _cmd_optimize(config: Config, args) -> int:
         i = len(history_rows)
         try:
             return winrate_objective(tuple(x), kind, base, horizon=horizon,
-                                     workers=args.workers)
+                                     workers=args.workers, book=book)
         except (ValueError, OSError) as exc:
             raise ValueError(f"evaluation {i + 1} of {opt.n_iter}: {exc}") from exc
 
     def on_evaluation(entry):
-        nonlocal incumbent
+        nonlocal incumbent, booked
         knots = format_knots(entry.point)
         history_rows.append((
             len(history_rows), knots, f"{entry.value:.10g}",
@@ -389,9 +392,12 @@ def _cmd_optimize(config: Config, args) -> int:
         elapsed = time.perf_counter() - start
         eta = elapsed / done * (opt.n_iter - done)
         lo, hi = wilson_interval(entry.value * base.games, base.games)
+        # Each position B searched this evaluation added one book entry.
+        searched = sum(map(len, book.values())) - booked
+        booked += searched
         print(f"optimize: {done}/{opt.n_iter} knots {knots} "
               f"win-rate {entry.value:.4f} ci95 [{lo:.4f}, {hi:.4f}] "
-              f"best {incumbent:.4f} "
+              f"best {incumbent:.4f} b-searched {searched} "
               f"elapsed {elapsed:.1f}s eta {eta:.1f}s", file=sys.stderr)
 
     best_x, history = bayesopt_loop(objective, opt, callback=on_evaluation)

@@ -6,13 +6,19 @@ match an exact pure function of its config (any worker count), makes
 engine-vs-itself score exactly 0.5, and maps swapping the engines to
 exactly 1 - win_rate.  Draws count 0.5.  The match runner doubles as the
 black-box objective for profile tuning.
+
+A match may carry a book of engine B's moves from earlier matches of the
+same games against the same engine B.  B plays a booked move instead of
+searching; a search is a pure function of its position, configuration and
+seed, so the book changes no move, and a match with a book is still an
+exact pure function of its config.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .backup import MonotoneBackup, SoftmaxBackup, StandardBackup
 from .games.base import GameState, PlayerRole
@@ -37,7 +43,13 @@ class TicTacToePool:
 
 @dataclass(frozen=True)
 class MatchConfig:
-    """A head-to-head match; games must be even so seats alternate."""
+    """A head-to-head match; games must be even so seats alternate.
+
+    ``book``, when given, holds engine B's moves from earlier matches of
+    these games against this engine B, as ``book[pair][moves so far]``:
+    the pair fixes the tree and pair seed, and the moves so far fix the
+    position, B's seat (by parity) and seat seed (by count), so B's search.
+    """
 
     pool: object
     engine_a: SearchConfig
@@ -45,6 +57,7 @@ class MatchConfig:
     games: int
     sims_per_move: int
     seed: int = 0
+    book: dict | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.games < 2 or self.games % 2 != 0:
@@ -89,12 +102,13 @@ def wilson_interval(effective_wins: float, games: int) -> tuple[float, float]:
 
 
 def play_game(engine_a: SearchConfig, engine_b: SearchConfig, start: GameState,
-              seed: int, a_moves_first: bool) -> GameRecord:
+              seed: int, a_moves_first: bool, book: dict | None = None) -> GameRecord:
     """Play one game; each engine searches with its own configuration.
 
     Search seeds attach to the seat (first or second mover), not the
     engine, so replaying with the engines swapped mirrors the outcome
-    exactly.
+    exactly.  Engine B plays the move ``book`` (the pair's entries of a
+    MatchConfig.book) holds for the moves so far, if any, without searching.
     """
     if start.terminal:
         raise ValueError("cannot start a game from a terminal position")
@@ -104,11 +118,16 @@ def play_game(engine_a: SearchConfig, engine_b: SearchConfig, start: GameState,
     moves = []
     move_idx = 0
     while not state.terminal:
-        engine = engine_a if a_to_move else engine_b
-        seat = "seat-first" if a_to_move == a_moves_first else "seat-second"
-        result = run_search(state, replace(engine, seed=derive(seed, seat, move_idx)))
-        moves.append(result.best_action)
-        state = state.apply(result.best_action)
+        action = None
+        if not a_to_move and book is not None:
+            action = book.get(tuple(moves))
+        if action is None:
+            engine = engine_a if a_to_move else engine_b
+            seat = "seat-first" if a_to_move == a_moves_first else "seat-second"
+            action = run_search(state, replace(
+                engine, seed=derive(seed, seat, move_idx))).best_action
+        moves.append(action)
+        state = state.apply(action)
         a_to_move = not a_to_move
         move_idx += 1
     r = state.terminal_return
@@ -125,15 +144,23 @@ def _play_pair(args) -> tuple[GameRecord, GameRecord]:
     start = config.pool.make(derive(config.seed, "tree", pair))
     engine_a = replace(config.engine_a, simulations=config.sims_per_move)
     engine_b = replace(config.engine_b, simulations=config.sims_per_move)
-    first = play_game(engine_a, engine_b, start, pair_seed, a_moves_first=True)
-    second = play_game(engine_a, engine_b, start, pair_seed, a_moves_first=False)
+    book = None if config.book is None else config.book[pair]
+    first = play_game(engine_a, engine_b, start, pair_seed, a_moves_first=True,
+                      book=book)
+    second = play_game(engine_a, engine_b, start, pair_seed, a_moves_first=False,
+                       book=book)
     return (replace(first, index=2 * pair), replace(second, index=2 * pair + 1))
 
 
 def run_match(config: MatchConfig, workers: int = 1) -> tuple[MatchResult, list[GameRecord]]:
-    """Play all games of a match, optionally across processes."""
+    """Play all games of a match, optionally across processes.  With a
+    book, each task ships only its pair's entries, and B's moves in the
+    match are filed in the book afterwards."""
     pairs = config.games // 2
-    tasks = [(config, p) for p in range(pairs)]
+    book = config.book
+    tasks = [(config if book is None else
+              replace(config, book={p: book.setdefault(p, {})}), p)
+             for p in range(pairs)]
     workers = min(workers, pairs)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -142,6 +169,12 @@ def run_match(config: MatchConfig, workers: int = 1) -> tuple[MatchResult, list[
     else:
         results = [_play_pair(t) for t in tasks]
     records = [g for pair in results for g in pair]
+    if book is not None:
+        for g in records:
+            shelf = book[g.index // 2]
+            # B moves on the even plies when it opens, on the odd ones if not.
+            for i in range(1 if g.first_mover == "A" else 0, len(g.moves), 2):
+                shelf[g.moves[:i]] = g.moves[i]
     wins_a = sum(1 for g in records if g.outcome == "A")
     wins_b = sum(1 for g in records if g.outcome == "B")
     draws = config.games - wins_a - wins_b
@@ -154,14 +187,16 @@ def run_match(config: MatchConfig, workers: int = 1) -> tuple[MatchResult, list[
 
 
 def winrate_objective(knots, kind: str, base: MatchConfig, horizon: int,
-                      workers: int = 1) -> float:
+                      workers: int = 1, book: dict | None = None) -> float:
     """Win-rate of a weight-profile engine against standard backup in the
     games of ``base``, its seed included.
 
     ``kind`` selects the strategy family: "monotone" builds a w0 = 1
     averaging profile, "softmax" a w0 = 0 sharpening profile, each over
     ``horizon`` visits.  The engine on the B side always runs the standard
-    backup.  Profile construction errors propagate to the caller.
+    backup.  ``book`` (MatchConfig.book), shared by calls on one ``base``,
+    replays B's moves from earlier calls.  Profile construction errors
+    propagate to the caller.
     """
     if kind == "monotone":
         strategy = MonotoneBackup.from_knots(knots, horizon)
@@ -173,6 +208,7 @@ def winrate_objective(knots, kind: str, base: MatchConfig, horizon: int,
         base,
         engine_a=replace(base.engine_a, backup=strategy),
         engine_b=replace(base.engine_b, backup=StandardBackup()),
+        book=book,
     )
     result, _ = run_match(match, workers=workers)
     return result.win_rate_a

@@ -11,7 +11,7 @@ import sys
 import pytest
 
 import mctsopt
-from mctsopt import cli
+from mctsopt import cli, tournament
 from mctsopt.bayesopt import OptimizeConfig
 from mctsopt.cli import (_COMMANDS, _KINDS, _MATCH_KEYS, _OPTIMIZE_KEYS,
                          _SYNTHETIC_KEYS, dispatch)
@@ -97,7 +97,7 @@ def played(monkeypatch):
     each call."""
     calls = []
 
-    def fake_winrate(knots, kind, base, horizon, workers):
+    def fake_winrate(knots, kind, base, horizon, workers, book):
         calls.append((knots, base.seed))
         return 0.5 - 0.01 * sum((k + 3.0) ** 2 for k in knots) + base.seed % 97 / 1e4
 
@@ -432,6 +432,34 @@ depth = 3
         assert all(r[3] == "4" for r in rows[1:])     # games column
         assert all(0.0 <= float(r[2]) <= 1.0 for r in rows[1:])
 
+    def test_engine_b_replays_only_its_own_runs_moves(self, tmp_path, capsys,
+                                                      monkeypatch):
+        # A book that outlived its run would let a rerun search less.
+        searches = []
+        run_search = tournament.run_search
+
+        def counting(state, config):
+            searches.append(type(config.backup).__name__)
+            return run_search(state, config)
+
+        monkeypatch.setattr(tournament, "run_search", counting)
+        config = write_config(tmp_path, "o.ini", OPTIMIZE_MATCH_INI)
+        runs = []
+        for run in range(2):
+            searches.clear()
+            assert run_cli("optimize", "--config", config,
+                           "--out", str(tmp_path / f"o{run}")) == 0
+            b_searched = re.findall(r" b-searched (\d+) ",
+                                    capsys.readouterr().err)
+            runs.append((searches.count("StandardBackup"),
+                         searches.count("SoftmaxBackup"), b_searched))
+        assert runs[0] == runs[1]
+        standard, softmax, b_searched = runs[0]
+        assert sum(map(int, b_searched)) == standard
+        # Engine B's opening move of each pair is the same every
+        # evaluation, so later evaluations replay at least that.
+        assert 0 < standard < softmax
+
     def test_match_seed_decides_the_games(self, tmp_path, played):
         # [match] seed reaches every evaluation; --seed moves only the
         # optimiser's draws.
@@ -525,10 +553,12 @@ depth = 3
         captured = capsys.readouterr()
         lines = captured.err.splitlines()
         assert len(lines) == len(played) == 3
+        # The fake objective plays no game, so engine B searches nothing.
         for i, line in enumerate(lines, 1):
             match = re.match(rf"optimize: {i}/3 knots \(.*\) win-rate ([0-9.]+) "
                              rf"ci95 \[([0-9.]+), ([0-9.]+)\] "
-                             rf"best [0-9.]+ elapsed [0-9.]+s eta [0-9.]+s$",
+                             rf"best [0-9.]+ b-searched 0 "
+                             rf"elapsed [0-9.]+s eta [0-9.]+s$",
                              line)
             assert match, line
             rate, lo, hi = map(float, match.groups())
@@ -749,6 +779,11 @@ IGNORED_KEYS = {
     "no-candidate-count": ("optimize", OPTIMIZE_LAST_INI + "candidate_count = 512\n"),
     # optimize always scores a profile by a match.
     "no-objective": ("optimize", OPTIMIZE_LAST_INI + "objective = match\n"),
+    # optimize keeps engine B's book itself, for one run.
+    "match-takes-no-book": (
+        "optimize", OPTIMIZE_SECTION + "[pool]\nbranching = 3\ndepth = 3\n\n"
+                    "[engine_a]\n\n[engine_b]\n\n"
+                    "[match]\ngames = 4\nsims_per_move = 20\nbook = 1\n"),
 }
 
 
@@ -927,7 +962,8 @@ def _field_defaults(cls, missing, drop=()):
     (_KINDS["kind"]["synthetic"][1], SyntheticTreeSpec, REQUIRED,
      {"trap_actions"}, ()),
     (_OPTIMIZE_KEYS, OptimizeConfig, None, {"kind", "horizon"}, ()),
-    (_MATCH_KEYS, MatchConfig, REQUIRED, (), {"pool", "engine_a", "engine_b"}),
+    (_MATCH_KEYS, MatchConfig, REQUIRED, (),
+     {"pool", "engine_a", "engine_b", "book"}),
 ], ids=["synthetic", "optimize", "match"])
 def test_section_table_matches_its_object(table, cls, missing, drop_keys,
                                           drop_fields):
@@ -935,7 +971,8 @@ def test_section_table_matches_its_object(table, cls, missing, drop_keys,
     type and default; a field without a default is required, or, under
     [optimize], resolved by the CLI (None).  The synthetic table adds only
     trap_actions (the reader adds kind), [optimize] only kind and horizon,
-    and [match] leaves the pool and the engines to their sections."""
+    and [match] leaves the pool and the engines to their sections and the
+    book of engine B's moves to optimize."""
     assert _table_defaults(table, drop_keys) == \
         _field_defaults(cls, missing, drop_fields)
     for f in dataclasses.fields(cls):

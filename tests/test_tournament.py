@@ -231,3 +231,83 @@ class TestWinrateObjective:
     def test_profile_errors_propagate(self):
         with pytest.raises(ValueError):
             winrate_objective((0.0, 800.0), "softmax", self.BASE, horizon=60)
+
+
+class TestBook:
+    """A book of engine B's moves replays B's earlier searches of a run and
+    changes no game."""
+
+    KNOTS = ((-3.0, -2.0, -1.0), (-6.0, -5.0, -4.0), (-1.0, -1.5, -2.0))
+
+    @staticmethod
+    def base(pool):
+        return MatchConfig(pool=pool, engine_a=engine(), engine_b=engine(),
+                           games=8, sims_per_move=40, seed=23)
+
+    @staticmethod
+    def record_matches(monkeypatch):
+        played = []
+
+        def recording(config, workers=1):
+            result, records = run_match(config, workers)
+            played.append(records)
+            return result, records
+
+        monkeypatch.setattr(tournament, "run_match", recording)
+        return played
+
+    @staticmethod
+    def count_searches(monkeypatch):
+        counts = []
+        run_search = tournament.run_search
+
+        def counting(state, config):
+            counts[-1][type(config.backup).__name__] += 1
+            return run_search(state, config)
+
+        monkeypatch.setattr(tournament, "run_search", counting)
+        return counts
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("pool", [SyntheticPool(branching=3, depth=4),
+                                      TicTacToePool()], ids=["synthetic", "ttt"])
+    def test_records_identical_with_and_without_a_book(self, monkeypatch,
+                                                       pool, workers):
+        played = self.record_matches(monkeypatch)
+        base, book = self.base(pool), {}
+        rates = {}
+        for shared in (None, book):
+            rates[shared is None] = [
+                winrate_objective(k, "softmax", base, horizon=40,
+                                  workers=workers, book=shared)
+                for k in self.KNOTS]
+        assert rates[True] == rates[False]
+        assert played[:3] == played[3:]
+        # The candidates steer the games apart, so the book both replays
+        # moves and learns new ones.
+        assert played[0] != played[1]
+        assert sorted(book) == list(range(base.games // 2))
+
+    def test_repeated_knots_replay_every_b_move(self, monkeypatch):
+        counts = self.count_searches(monkeypatch)
+        base, book = self.base(SyntheticPool(branching=3, depth=4)), {}
+        for knots in (self.KNOTS[0], self.KNOTS[1], self.KNOTS[1]):
+            counts.append({"StandardBackup": 0, "SoftmaxBackup": 0})
+            winrate_objective(knots, "softmax", base, horizon=40, book=book)
+        standard = [c["StandardBackup"] for c in counts]
+        softmax = [c["SoftmaxBackup"] for c in counts]
+        # Every game on a depth-4 tree has two moves per engine.
+        assert softmax == [2 * base.games] * 3
+        assert standard[0] == 2 * base.games
+        assert 0 < standard[1] < 2 * base.games
+        assert standard[2] == 0
+        assert sum(standard) == sum(map(len, book.values()))
+
+    def test_no_book_searches_every_move(self, monkeypatch):
+        counts = self.count_searches(monkeypatch)
+        counts.append({"StandardBackup": 0, "SoftmaxBackup": 0})
+        base = self.base(SyntheticPool(branching=3, depth=4))
+        for _ in range(2):
+            winrate_objective(self.KNOTS[0], "softmax", base, horizon=40)
+        assert counts == [{"StandardBackup": 4 * base.games,
+                           "SoftmaxBackup": 4 * base.games}]
