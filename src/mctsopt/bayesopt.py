@@ -7,12 +7,17 @@ over the whole box plus Gaussian perturbations of the incumbent at
 several scales - a global-only candidate set cannot resolve optima much
 finer than the box diameter divided by the candidate count**(1/d)).  The
 candidate draws are keyed by the seed and the number of results, and
-every result in the surrogate is a real evaluation.  scipy.stats is
-imported on the first draw, so importing the package does not load it.
+every result in the surrogate is a real evaluation.  The Sobol points are
+scipy's ``qmc.Sobol(scramble=True)`` draws, rebuilt in numpy from the
+direction numbers of Joe & Kuo (2008) that scipy ships, so the tuner never
+imports scipy.stats.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.util
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,15 +69,65 @@ class Evaluation:
     failed: bool = False
 
 
-def _sobol(config: OptimizeConfig, count: int, *tags) -> np.ndarray:
-    from scipy.stats import qmc
+def _direction_table():
+    """Joe & Kuo's Sobol direction numbers (``poly`` and ``vinit`` rows, one
+    per dimension), read from scipy.stats' data without importing it."""
+    where = importlib.util.find_spec("scipy.stats").submodule_search_locations[0]
+    return np.load(os.path.join(where, "_sobol_direction_numbers.npz"))
 
-    sampler = qmc.Sobol(d=config.m, scramble=True,
-                        seed=derive(config.seed, *tags))
-    # Draw the next power of two and slice: Sobol balance is only defined
-    # at powers of two and scipy warns otherwise.
-    pts = sampler.random_base2(max(0, (count - 1).bit_length()))[:count]
-    return qmc.scale(pts, config.lo, config.hi)
+
+def sobol_max_dim() -> int:
+    """The most dimensions the direction table covers."""
+    with _direction_table() as table:
+        return len(table["poly"])
+
+
+@functools.cache
+def _sobol_directions(m: int, bits: int) -> np.ndarray:
+    """Unscrambled direction numbers, m x bits, column j shifted left by
+    bits - 1 - j (read-only: they are constants, kept per shape)."""
+    with _direction_table() as table:
+        poly, vinit = table["poly"][:m].tolist(), table["vinit"][:m].tolist()
+    if len(poly) < m:
+        raise ValueError(f"m = {m} is above the {len(poly)} dimensions of "
+                         f"the Sobol direction table")
+    v = [[1] * bits]                    # dimension 0 is van der Corput's
+    for p, row in zip(poly[1:], vinit[1:]):
+        deg = p.bit_length() - 1
+        del row[deg:]
+        for j in range(deg, bits):
+            new = row[j - deg]
+            for i in range(deg):
+                if p >> (deg - 1 - i) & 1:
+                    new ^= (2 << i) * row[j - i - 1]
+            row.append(new)
+        v.append(row)
+    v = np.array(v, dtype=np.int64) << np.arange(bits - 1, -1, -1)
+    v.setflags(write=False)
+    return v
+
+
+def _sobol(config: OptimizeConfig, count: int, *tags) -> np.ndarray:
+    """``count`` points of the Sobol sequence scrambled at the tags' seed,
+    scaled to the box: Matousek's linear matrix scramble plus a digital
+    shift, drawn as ``qmc.Sobol(d=m, scramble=True, seed=...)`` draws them."""
+    m, bits = config.m, 30
+    directions = _sobol_directions(m, bits)
+    rng = np.random.default_rng(derive(config.seed, *tags))
+    shift = rng.integers(2, size=(m, bits), dtype=np.uint32) @ (1 << np.arange(bits))
+    ltm = np.tril(rng.integers(2, size=(m, bits, bits), dtype=np.uint32))
+    ltm |= np.eye(bits, dtype=np.uint32)
+    # Bit bits-1-p of sv[k, j] is the parity of row p of ltm[k] dotted with
+    # the bits of v[k, j], most significant first.
+    msb_first = np.arange(bits - 1, -1, -1)
+    v_bits = directions[:, :, None] >> msb_first & 1
+    sv = (np.einsum("kpb,kjb->kjp", ltm, v_bits) & 1) @ (1 << msb_first)
+    # Point n XORs the columns of the bits set in its Gray code n ^ (n >> 1);
+    # doubling the set mirrors it.  Draw the next power of two and slice.
+    pts = shift[None, :]
+    for c in range(max(0, (count - 1).bit_length())):
+        pts = np.concatenate([pts, (pts ^ sv[:, c])[::-1]])
+    return pts[:count] / 2**bits * (config.hi - config.lo) + config.lo
 
 
 def fit_surrogate(X, t, config: OptimizeConfig) -> GPModel:

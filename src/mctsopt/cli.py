@@ -36,7 +36,7 @@ from dataclasses import replace
 from . import __version__
 from .backup import (CoulomBackup, ErwaBackup, FeedbackBackup, MonotoneBackup,
                      SoftmaxBackup, StandardBackup, format_knots, parse_knots)
-from .bayesopt import OptimizeConfig, bayesopt_loop
+from .bayesopt import OptimizeConfig, bayesopt_loop, sobol_max_dim
 from .config import (Config, ConfigError, REQUIRED, format_sections,
                      read_config, write_atomic)
 from .games.oracle import NoisyOracleEvaluator, RandomRolloutEvaluator
@@ -333,6 +333,11 @@ def _cmd_optimize(config: Config, args) -> int:
         raise config.error("optimize", "m",
                            f"m must be at least 2 (a profile needs two "
                            f"knots), got {settings['m']}")
+    max_m = sobol_max_dim()
+    if settings["m"] > max_m:
+        raise config.error("optimize", "m",
+                           f"m must be at most {max_m} (the Sobol "
+                           f"direction table's dimensions), got {settings['m']}")
     if horizon is not None and horizon < 1:
         raise config.error("optimize", "horizon",
                            f"horizon must be >= 1, got {horizon}")

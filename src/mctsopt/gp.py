@@ -3,8 +3,9 @@
 Exact posterior via Cholesky factorization with escalating jitter, plus
 the expected-improvement acquisition the optimizer maximizes.  Everything is
 immutable after fitting; fit and posterior are pure functions, so models
-can be shared freely across threads.  scipy is imported inside the
-functions that call it, so importing the package does not load it.
+can be shared freely across threads.  scipy.linalg and scipy.special are
+imported inside the functions that call them, so importing the package
+does not load them; distances are computed in numpy.
 """
 
 from __future__ import annotations
@@ -16,6 +17,17 @@ import numpy as np
 _SQRT5 = np.sqrt(5.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 _JITTERS = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
+
+
+def _distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of X and Y, squares summed one
+    dimension at a time in order as scipy's cdist sums them, so bit-identical
+    to it (a pairwise ``sum`` over the last axis is not)."""
+    s = np.zeros((len(X), len(Y)))
+    for k in range(X.shape[1]):
+        d = X[:, k, None] - Y[None, :, k]
+        s = s + d * d
+    return np.sqrt(s)
 
 
 class ConditioningError(RuntimeError):
@@ -55,9 +67,7 @@ class Matern52Kernel:
 
     def matrix(self, X, Y) -> np.ndarray:
         """Cross-covariance matrix k(X, Y) without noise."""
-        from scipy.spatial.distance import cdist
-
-        r = cdist(self._scaled(X), self._scaled(Y))
+        r = _distances(self._scaled(X), self._scaled(Y))
         s = _SQRT5 * r
         return self.amplitude * (1.0 + s + (5.0 / 3.0) * r * r) * np.exp(-s)
 
@@ -108,7 +118,6 @@ def fit(X, t, kernel: Matern52Kernel) -> GPModel:
     with a ConditioningError.
     """
     from scipy.linalg import cho_factor, cho_solve
-    from scipy.spatial.distance import cdist
 
     X = np.atleast_2d(np.asarray(X, dtype=float))
     t = np.asarray(t, dtype=float).ravel()
@@ -119,7 +128,7 @@ def fit(X, t, kernel: Matern52Kernel) -> GPModel:
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(t))):
         raise ValueError("inputs and targets must be finite")
     if kernel.noise_var == 0.0 and len(X) > 1:
-        diffs = cdist(X, X)
+        diffs = _distances(X, X)
         np.fill_diagonal(diffs, np.inf)
         if np.min(diffs) == 0.0:
             raise ValueError("duplicate inputs need a positive noise variance")

@@ -12,6 +12,9 @@ same games against the same engine B.  B plays a booked move instead of
 searching; a search is a pure function of its position, configuration and
 seed, so the book changes no move, and a match with a book is still an
 exact pure function of its config.
+
+Pool workers freeze the objects they inherit from the parent at start, so
+their garbage collections walk only what their searches allocate.
 """
 
 from __future__ import annotations
@@ -163,7 +166,10 @@ def run_match(config: MatchConfig, workers: int = 1) -> tuple[MatchResult, list[
              for p in range(pairs)]
     workers = min(workers, pairs)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        import gc
+
+        with ProcessPoolExecutor(max_workers=workers,
+                                 initializer=gc.freeze) as pool:
             results = list(pool.map(_play_pair, tasks,
                                     chunksize=max(1, pairs // (4 * workers))))
     else:

@@ -42,6 +42,36 @@ class TestConfigValidation:
                 OptimizeConfig(lo=0.0, hi=1.0, m=1, noise_var=noise_var)
 
 
+class TestSobol:
+    """The numpy draws are scipy's scrambled Sobol points, bit for bit."""
+
+    @staticmethod
+    def reference(config, count, *tags):
+        from scipy.stats import qmc
+
+        sampler = qmc.Sobol(d=config.m, scramble=True,
+                            seed=derive(config.seed, *tags))
+        pts = sampler.random_base2(max(0, (count - 1).bit_length()))[:count]
+        return qmc.scale(pts, config.lo, config.hi)
+
+    @pytest.mark.parametrize("m", [1, 2, 6, 11, 40])
+    def test_equals_scipy(self, m):
+        for seed in (0, 17, 2**63, 2**64 - 1):
+            config = OptimizeConfig(lo=-10.0, hi=-4.0, m=m, seed=seed,
+                                    noise_var=1e-4)
+            for count in (1, 2, 3, 8, 2048):
+                assert np.array_equal(bayesopt._sobol(config, count, "t", count),
+                                      self.reference(config, count, "t", count))
+
+    def test_table_size_is_scipys_limit(self):
+        from scipy.stats import qmc
+
+        assert bayesopt.sobol_max_dim() == qmc.Sobol.MAXDIM
+        config = OptimizeConfig(m=qmc.Sobol.MAXDIM + 1, noise_var=1e-4)
+        with pytest.raises(ValueError, match="Sobol direction table"):
+            bayesopt._sobol(config, 1, "t")
+
+
 class TestProposeNext:
     def setup_model(self):
         config = OptimizeConfig(lo=0.0, hi=1.0, m=1, n_init=2, n_iter=10,

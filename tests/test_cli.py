@@ -567,14 +567,32 @@ depth = 3
         assert captured.out.startswith("best softmax profile: (")
 
 
+def run_fresh(code):
+    """stdout of ``code`` run in a fresh interpreter that imports this
+    package."""
+    src = os.path.dirname(os.path.dirname(mctsopt.__file__))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=src)).stdout
+
+
 def test_import_loads_no_scipy():
-    # Only optimize needs scipy; it loads it when it draws its first points.
+    # Only optimize needs scipy; it loads scipy.linalg and scipy.special at
+    # its first GP fit.
     code = ("import sys, mctsopt, mctsopt.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    src = os.path.dirname(os.path.dirname(mctsopt.__file__))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
-    assert out.stdout.strip() == "[]"
+    assert run_fresh(code).strip() == "[]"
+
+
+def test_optimize_loads_neither_scipy_stats_nor_spatial(tmp_path):
+    # n_iter > n_init: the run fits the GP and proposes a point.
+    config = write_config(tmp_path, "o.ini", OPTIMIZE_MATCH_INI)
+    code = ("import sys; from mctsopt.cli import dispatch; "
+            f"assert dispatch(['optimize', '--config', {config!r}, "
+            f"'--out', {str(tmp_path / 'op')!r}]) == 0; "
+            "print('scipy.linalg' in sys.modules, sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.stats', 'scipy.spatial'))))")
+    assert run_fresh(code).splitlines()[-1] == "True []"
 
 
 class TestValidation:
@@ -843,6 +861,10 @@ BAD_VALUES = {
                "m = 0", "m must be at least 2"),
     "m-one-match": ("optimize", OPTIMIZE_MATCH_INI.replace("m = 2", "m = 1"),
                     "m = 1", "m must be at least 2"),
+    "m-above-direction-table": (
+        "optimize", OPTIMIZE_MATCH_INI.replace("m = 2", "m = 21202"),
+        "m = 21202", "m must be at most 21201 (the Sobol direction table's "
+                     "dimensions), got 21202"),
     "horizon-zero-match": (
         "optimize", OPTIMIZE_MATCH_INI.replace("n_iter = 3\n",
                                                "n_iter = 3\nhorizon = 0\n"),

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from mctsopt.gp import Matern52Kernel, expected_improvement, fit
+from mctsopt.gp import Matern52Kernel, _distances, expected_improvement, fit
 
 
 def separated_points(rng, n, d, lo, hi, min_dist):
@@ -46,6 +46,16 @@ def dense_posterior(X, t, kernel, x_star):
 
 
 class TestKernel:
+    @pytest.mark.parametrize("d", [1, 2, 6, 8, 13])
+    def test_distances_equal_scipy_cdist(self, d):
+        from scipy.spatial.distance import cdist
+
+        rng = np.random.default_rng(d)
+        X = rng.normal(size=(40, d)) * 3.0
+        Y = rng.uniform(-10.0, -4.0, size=(500, d))
+        assert np.array_equal(_distances(X, Y), cdist(X, Y))
+        assert np.array_equal(_distances(X, X), cdist(X, X))
+
     def test_diagonal_equals_amplitude(self):
         k = Matern52Kernel(amplitude=2.5, lengthscales=(1.0, 3.0))
         assert k.matrix([0.2, -1.0], [0.2, -1.0])[0, 0] == 2.5

@@ -1,5 +1,6 @@
 """Match runner: exact symmetry laws, intervals, objective plumbing."""
 
+import gc
 from dataclasses import replace
 
 import pytest
@@ -19,6 +20,16 @@ def engine(sims=100, **kw):
     defaults = dict(policy="UCB1", exploration=1.0)
     defaults.update(kw)
     return SearchConfig(simulations=sims, **defaults)
+
+
+PLAY_PAIR = tournament._play_pair
+
+
+def play_pair_in_frozen_worker(args):
+    """tournament._play_pair, failing unless the objects the process
+    inherited are frozen."""
+    assert gc.get_freeze_count() > 0, "pool worker did not call gc.freeze"
+    return PLAY_PAIR(args)
 
 
 def small_match(games=20, sims=60, seed=5, pool=None, **kw):
@@ -147,7 +158,7 @@ class TestRunMatch:
         started = []
 
         class SerialPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer=None):
                 started.append(max_workers)
 
             def __enter__(self):
@@ -163,6 +174,15 @@ class TestRunMatch:
         config = small_match(games=4)
         assert run_match(config, workers=32) == run_match(config, workers=1)
         assert started == [2]
+
+    def test_pool_workers_freeze_what_they_inherit(self, monkeypatch):
+        assert gc.get_freeze_count() == 0
+        config = small_match(games=4)
+        serial = run_match(config, workers=1)
+        monkeypatch.setattr("mctsopt.tournament._play_pair",
+                            play_pair_in_frozen_worker)
+        assert run_match(config, workers=2) == serial
+        assert gc.get_freeze_count() == 0     # the parent froze nothing
 
     def test_sims_per_move_overrides_engines(self):
         config = MatchConfig(pool=TicTacToePool(), engine_a=engine(5000),
