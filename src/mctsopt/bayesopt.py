@@ -55,8 +55,8 @@ class OptimizeConfig:
             raise ValueError("n_init must be at least 2")
         if self.n_iter < self.n_init:
             raise ValueError("n_iter must cover the initial design")
-        if not self.noise_var >= 0:
-            raise ValueError("noise_var must be non-negative")
+        if not 0 <= self.noise_var < np.inf:
+            raise ValueError("noise_var must be non-negative and finite")
 
 
 @dataclass

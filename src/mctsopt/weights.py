@@ -143,8 +143,8 @@ def feedback_weight(profile: str, t: float, horizon: int, final_ratio: float) ->
     """
     if profile not in FEEDBACK_PROFILES:
         raise ValueError(f"unknown feedback profile {profile!r}")
-    if not final_ratio > 1.0:
-        raise ValueError("final_ratio must exceed 1")
+    if not 1.0 < final_ratio < np.inf:
+        raise ValueError("final_ratio must exceed 1 and be finite")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if not 0 <= t <= horizon:

@@ -37,7 +37,7 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             OptimizeConfig(lo=0.0, hi=1.0, m=1, n_init=8, n_iter=4,
                            noise_var=1e-4)
-        for noise_var in (-1.0, float("nan")):
+        for noise_var in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 OptimizeConfig(lo=0.0, hi=1.0, m=1, noise_var=noise_var)
 

@@ -837,6 +837,11 @@ BAD_VALUES = {
         "analyze", SEARCH_INI + "backup = feedback\nfeedback_profile = GAX\n"
                                 "horizon = 8\nfinal_ratio = nan\n",
         "backup = feedback", "bad backup spec: final_ratio must exceed 1"),
+    # An infinite ratio gives NaN weights, so every q would be NaN.
+    "final-ratio-inf": (
+        "analyze", SEARCH_INI + "backup = feedback\nfeedback_profile = GAX\n"
+                                "horizon = 8\nfinal_ratio = inf\n",
+        "backup = feedback", "bad backup spec: final_ratio must exceed 1"),
     "feedback-horizon-zero": (
         "analyze", SEARCH_INI + "backup = feedback\nfeedback_profile = GAX\n"
                                 "horizon = 0\n",
@@ -856,6 +861,11 @@ BAD_VALUES = {
     "noise-var-nan": (
         "optimize", OPTIMIZE_MATCH_INI.replace("n_iter = 3\n",
                                                "n_iter = 3\nnoise_var = nan\n"),
+        "[optimize]", "noise_var must be non-negative"),
+    # Refused before the initial design's games, not at the first GP fit.
+    "noise-var-inf": (
+        "optimize", OPTIMIZE_MATCH_INI.replace("n_iter = 3\n",
+                                               "n_iter = 3\nnoise_var = inf\n"),
         "[optimize]", "noise_var must be non-negative"),
     "m-zero": ("optimize", OPTIMIZE_MATCH_INI.replace("m = 2", "m = 0"),
                "m = 0", "m must be at least 2"),

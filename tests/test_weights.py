@@ -173,7 +173,8 @@ class TestFeedbackWeight:
             feedback_weight("GAX", -1, 100, 8.0)
         with pytest.raises(ValueError):
             feedback_weight("GAX", 101, 100, 8.0)
-        with pytest.raises(ValueError):
-            feedback_weight("GAX", 5, 100, 1.0)
+        for ratio in (1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="final_ratio must exceed 1"):
+                feedback_weight("GAX", 5, 100, ratio)
         with pytest.raises(ValueError):
             feedback_weight("GAX", 0, 0, 64.0)
