@@ -7,8 +7,9 @@ tournament    play a seeded match between two engines
 optimize      tune weight-profile knots by match win-rate
 dump-profile  materialize a weight profile as CSV for plotting
 
-Every run reads one strict config file, writes its outputs atomically
-under --out, and drops a manifest.ini capturing the resolved configuration
+Every run reads one strict config file, writes its outputs under --out
+(atomically, but optimize appends history.csv one row per evaluation),
+and drops a manifest.ini capturing the resolved configuration
 and package version, sufficient to reproduce the run bit-for-bit.  Each
 section is read through one table of the keys the run reads, with their
 types and defaults (Config.read), so any other key is a line-anchored
@@ -367,33 +368,32 @@ def _cmd_optimize(config: Config, args) -> int:
     # Engine B's moves in this run's games, replayed by later evaluations.
     book = {}
     booked = 0
-    history_rows = []
+    done = 0
     history_path = os.path.join(args.out, "history.csv")
     incumbent = -math.inf
     start = time.perf_counter()
 
     def objective(x):
-        i = len(history_rows)
         try:
             return winrate_objective(tuple(x), kind, base, horizon=horizon,
                                      workers=args.workers, book=book)
         except (ValueError, OSError) as exc:
-            raise ValueError(f"evaluation {i + 1} of {opt.n_iter}: {exc}") from exc
+            raise ValueError(f"evaluation {done + 1} of {opt.n_iter}: {exc}") from exc
 
     def on_evaluation(entry):
-        nonlocal incumbent, booked
+        nonlocal incumbent, booked, done
         knots = format_knots(entry.point)
-        history_rows.append((
-            len(history_rows), knots, f"{entry.value:.10g}",
-            base.games, time.strftime("%Y-%m-%dT%H:%M:%S"),
-        ))
-        # Rewritten whole after every evaluation, so a run that stops early
-        # keeps the evaluations it finished.
-        write_atomic(history_path,
-                     _csv_text(("eval", "knots", "win_rate", "games", "timestamp"),
-                               history_rows))
+        # One row per finished evaluation, so a run that stops early keeps
+        # them; the first truncates what an earlier run left in --out.
+        with open(history_path, "a" if done else "w", newline="",
+                  encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            if not done:
+                writer.writerow(("eval", "knots", "win_rate", "games", "timestamp"))
+            writer.writerow((done, knots, f"{entry.value:.10g}", base.games,
+                             time.strftime("%Y-%m-%dT%H:%M:%S")))
+        done += 1
         incumbent = max(incumbent, entry.value)
-        done = len(history_rows)
         elapsed = time.perf_counter() - start
         eta = elapsed / done * (opt.n_iter - done)
         lo, hi = wilson_interval(entry.value * base.games, base.games)

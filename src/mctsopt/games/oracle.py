@@ -96,8 +96,8 @@ class NoisyOracleEvaluator:
     kind = "noisy_oracle"
 
     def __init__(self, noise_sd: float, seed: int):
-        if not noise_sd >= 0:
-            raise ValueError("noise_sd must be non-negative")
+        if not 0 <= noise_sd < math.inf:
+            raise ValueError("noise_sd must be non-negative and finite")
         self.noise_sd = float(noise_sd)
         self.seed = int(seed)
         self._prefix = hasher(self.seed, "oracle-noise")

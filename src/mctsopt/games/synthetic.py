@@ -21,7 +21,7 @@ from ..seeds import derive
 from .base import GameState, PlayerRole
 
 # Guard for eager leaf materialization.
-MAX_ORACLE_NODES = 10**7
+MAX_TREE_NODES = 10**7
 
 # Attempt cap when redrawing a subtree to make a non-trap action winnable.
 _HEAL_ATTEMPTS = 1000
@@ -77,8 +77,8 @@ class SyntheticTreeSpec:
             if p is not None and not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
         n_leaves = self.branching**self.depth
-        if n_leaves * self.branching // (self.branching - 1) > MAX_ORACLE_NODES:
-            raise ValueError(f"tree exceeds the {MAX_ORACLE_NODES} node ceiling")
+        if n_leaves * self.branching // (self.branching - 1) > MAX_TREE_NODES:
+            raise ValueError(f"tree exceeds the {MAX_TREE_NODES} node ceiling")
 
 
 class SyntheticTree:

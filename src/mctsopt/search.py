@@ -81,8 +81,8 @@ class SearchConfig:
             raise ValueError("simulation budget must be positive")
         if self.policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}")
-        if not self.exploration >= 0:
-            raise ValueError("exploration constant must be non-negative")
+        if not 0 <= self.exploration < math.inf:
+            raise ValueError("exploration constant must be non-negative and finite")
 
 
 @dataclass

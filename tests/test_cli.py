@@ -395,6 +395,48 @@ class TestOptimize:
         h2 = strip_timestamps(open(os.path.join(out2, "history.csv")).read())
         assert h1 == h2
 
+    def test_history_grows_by_appends_to_one_file(self, tmp_path, monkeypatch,
+                                                  played):
+        # Each evaluation's row is appended to the file the first one
+        # wrote: the same inode throughout, each earlier state a prefix of
+        # the last (a replace by rename would give a new inode each time).
+        out = str(tmp_path / "oa")
+        history = os.path.join(out, "history.csv")
+        snapshots = []
+        fake = cli.winrate_objective
+
+        def snapshotting(*args, **kwargs):
+            if os.path.exists(history):
+                with open(history, "rb") as fh:
+                    snapshots.append((os.stat(history).st_ino, fh.read()))
+            return fake(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "winrate_objective", snapshotting)
+        config = write_config(tmp_path, "o.ini", OPTIMIZE_MATCH_INI)
+        assert run_cli("optimize", "--config", config, "--out", out) == 0
+        with open(history, "rb") as fh:
+            final = fh.read()
+        assert [len(data.splitlines()) for _, data in snapshots] == [2, 3]
+        assert {inode for inode, _ in snapshots} == {os.stat(history).st_ino}
+        assert all(final.startswith(data) for _, data in snapshots)
+        assert len(final.splitlines()) == 4
+
+    def test_reused_out_holds_only_the_last_run(self, tmp_path, played):
+        # A longer run's history in --out is replaced, not appended to.
+        fresh, reused = str(tmp_path / "fresh"), str(tmp_path / "reused")
+        longer = write_config(tmp_path, "long.ini", OPTIMIZE_MATCH_INI.replace(
+            "n_iter = 3", "n_iter = 5"))
+        config = write_config(tmp_path, "o.ini", OPTIMIZE_MATCH_INI)
+        assert run_cli("optimize", "--config", longer, "--out", reused) == 0
+        assert run_cli("optimize", "--config", config, "--out", reused) == 0
+        assert run_cli("optimize", "--config", config, "--out", fresh) == 0
+        rows = read_rows(os.path.join(reused, "history.csv"))
+        assert [r[0] for r in rows[1:]] == ["0", "1", "2"]
+        for name in ("history.csv", "best.json"):
+            texts = [strip_timestamps(open(os.path.join(d, name)).read())
+                     for d in (fresh, reused)]
+            assert texts[0] == texts[1]
+
     def test_best_profile_printed_as_tuple(self, tmp_path, capsys, played):
         config = write_config(tmp_path, "o.ini", OPTIMIZE_MATCH_INI)
         run_cli("optimize", "--config", config, "--out", str(tmp_path / "oc"))
@@ -830,6 +872,9 @@ SEARCH_INI = TestValidation.SEARCH
 BAD_VALUES = {
     "exploration-nan": ("analyze", SEARCH_INI + "exploration = nan\n", "[search]",
                         "exploration constant must be non-negative"),
+    # An infinite constant sends every visit down the first child's line.
+    "exploration-inf": ("analyze", SEARCH_INI + "exploration = inf\n", "[search]",
+                        "exploration constant must be non-negative and finite"),
     "coulom-x-nan": (
         "analyze", SEARCH_INI + "backup = coulom\ncoulom_x = nan\ncoulom_y = 4\n",
         "backup = coulom", "bad backup spec: x must be positive"),
@@ -858,6 +903,11 @@ BAD_VALUES = {
         "analyze", SEARCH_INI + "evaluator = noisy_oracle\nnoise_sd = nan\n",
         "evaluator = noisy_oracle",
         "bad evaluator spec: noise_sd must be non-negative"),
+    # Infinite noise clamps every evaluation to exactly 0 or 1.
+    "noise-sd-inf": (
+        "analyze", SEARCH_INI + "evaluator = noisy_oracle\nnoise_sd = inf\n",
+        "evaluator = noisy_oracle",
+        "bad evaluator spec: noise_sd must be non-negative and finite"),
     "noise-var-nan": (
         "optimize", OPTIMIZE_MATCH_INI.replace("n_iter = 3\n",
                                                "n_iter = 3\nnoise_var = nan\n"),
