@@ -309,6 +309,8 @@ def _cmd_tournament(config: Config, args) -> int:
         "draws": result.draws,
         "win_rate_a": result.win_rate_a,
         "ci95": list(result.ci95),
+        # Identical games count as independent ones in the interval.
+        "distinct_games": len({r.moves for r in records}),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
     rows = [(r.index, r.pair_seed, r.first_mover, r.outcome,

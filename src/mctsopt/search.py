@@ -67,7 +67,17 @@ class SearchNode:
 
 @dataclass
 class SearchConfig:
-    """Everything needed to rerun a search bit-for-bit."""
+    """Everything needed to rerun a search bit-for-bit.
+
+    ``stop_when_decided`` ends the search once the best action, the most
+    visited root child with ties to the lower index, can no longer change:
+    each simulation adds one visit to one root child, so with ``left``
+    simulations to go the leader L is decided when it holds at least
+    ``left + 1`` visits more than every child before it and at least
+    ``left`` more than every child after it.  The best action is the one
+    the full budget gives; the rest of the result covers the simulations
+    that ran.  Matches set it (tournament.play_game); nothing else does.
+    """
 
     simulations: int = 100
     policy: str = "UCB1"
@@ -75,6 +85,7 @@ class SearchConfig:
     backup: BackupStrategy = field(default_factory=StandardBackup)
     evaluator: object = field(default_factory=RandomRolloutEvaluator)
     seed: int = 0
+    stop_when_decided: bool = False
 
     def __post_init__(self):
         if self.simulations < 1:
@@ -179,8 +190,23 @@ def _expand(node: SearchNode, state: GameState) -> bool:
     return uniform
 
 
+def _decided(children: list, left: int) -> bool:
+    """True when ``left`` more root visits cannot change the most visited
+    child (ties to the lower index): a child before the leader must stay
+    strictly behind it, a child after it may draw level."""
+    visits = [c.visits for c in children]
+    top = max(visits)
+    bar = top - left        # the most visits a later child may hold now
+    if bar < 0:             # every other child holds more than that
+        return len(visits) == 1
+    lead = visits.index(top)
+    return (max(visits[:lead], default=-1) < bar
+            and max(visits[lead + 1:], default=-1) <= bar)
+
+
 def run_search(root: GameState, config: SearchConfig) -> SearchResult:
-    """Run ``config.simulations`` search iterations from ``root``.
+    """Run ``config.simulations`` search iterations from ``root``, or
+    fewer under ``config.stop_when_decided``.
 
     Each simulation reads the state map once, at the node where its
     descent stops, and tests that state for a terminal there.
@@ -190,13 +216,17 @@ def run_search(root: GameState, config: SearchConfig) -> SearchResult:
 
     strategy = config.backup
     evaluator = config.evaluator
-    scales, roots = _score_tables(config.policy, config.exploration,
-                                 config.simulations)
+    sims = config.simulations
+    scales, roots = _score_tables(config.policy, config.exploration, sims)
     rollout_rng = random.Random(derive(config.seed, "rollout"))
 
     root_node = SearchNode(is_max=root.to_move is PlayerRole.MAX)
     states = {root_node: root}   # node -> its state, built when first entered
-    for _ in range(config.simulations):
+    # After simulation k + 1 the leader holds at most k visits and needs
+    # sims - 1 - k more than a second child, so with two or more root
+    # children no move is decided before k = sims // 2.
+    check_from = sims // 2 if config.stop_when_decided else sims
+    for k in range(sims):
         node = root_node
         path = [node]
         while node.children is not None:
@@ -220,6 +250,8 @@ def run_search(root: GameState, config: SearchConfig) -> SearchResult:
             value = (child.terminal_return if child.terminal
                      else evaluator.evaluate(child, rollout_rng))
         strategy.backpropagate(path, value)
+        if k >= check_from and _decided(root_node.children, sims - 1 - k):
+            break
 
     visit_distribution = {
         a: child.visits

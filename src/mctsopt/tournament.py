@@ -112,6 +112,11 @@ def play_game(engine_a: SearchConfig, engine_b: SearchConfig, start: GameState,
     engine, so replaying with the engines swapped mirrors the outcome
     exactly.  Engine B plays the move ``book`` (the pair's entries of a
     MatchConfig.book) holds for the moves so far, if any, without searching.
+    A game reads only each search's best action, so every search runs with
+    ``stop_when_decided``: it ends once the most visited root child can no
+    longer be caught with the simulations left (a margin of ``left + 1``
+    over a lower-index child, ``left`` over a higher-index one, since ties
+    go to the lower index), and the game is the one full searches play.
     """
     if start.terminal:
         raise ValueError("cannot start a game from a terminal position")
@@ -128,7 +133,8 @@ def play_game(engine_a: SearchConfig, engine_b: SearchConfig, start: GameState,
             engine = engine_a if a_to_move else engine_b
             seat = "seat-first" if a_to_move == a_moves_first else "seat-second"
             action = run_search(state, replace(
-                engine, seed=derive(seed, seat, move_idx))).best_action
+                engine, seed=derive(seed, seat, move_idx),
+                stop_when_decided=True)).best_action
         moves.append(action)
         state = state.apply(action)
         a_to_move = not a_to_move

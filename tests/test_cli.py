@@ -63,6 +63,26 @@ alpha = 0.1
 backup = standard
 """
 
+NOISY_TICTACTOE_MATCH_INI = """
+[match]
+games = 12
+sims_per_move = 20
+seed = 1
+
+[pool]
+kind = tictactoe
+
+[engine_a]
+evaluator = noisy_oracle
+noise_sd = 0.1
+noise_seed = 3
+
+[engine_b]
+evaluator = noisy_oracle
+noise_sd = 0.1
+noise_seed = 4
+"""
+
 OPTIMIZE_SECTION = """
 [optimize]
 kind = softmax
@@ -363,6 +383,31 @@ class TestTournament:
                            "final_return"]
         assert len(rows) == 9
         assert [r[0] for r in rows[1:]] == [str(i) for i in range(8)]
+
+    @staticmethod
+    def distinct_games(tmp_path, capsys, text):
+        """The distinct_games a tournament prints and writes, checked
+        against the move sequences in its games.csv."""
+        config = write_config(tmp_path, "m.ini", text)
+        out = str(tmp_path / "m")
+        assert run_cli("tournament", "--config", config, "--out", out) == 0
+        printed = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        written = json.load(open(os.path.join(out, "match.json")))
+        moves = {r[4] for r in read_rows(os.path.join(out, "games.csv"))[1:]}
+        assert written["distinct_games"] == printed["distinct_games"] == len(moves)
+        return len(moves)
+
+    def test_noisy_oracle_tictactoe_match_replays_one_game(self, tmp_path,
+                                                           capsys):
+        # Under the noisy oracle a search is a function of its position,
+        # and every tic-tac-toe game starts from the empty board.
+        assert self.distinct_games(tmp_path, capsys,
+                                   NOISY_TICTACTOE_MATCH_INI) == 1
+
+    def test_trap_pool_match_reports_its_distinct_games(self, tmp_path, capsys):
+        text = MATCH_INI.replace("depth = 4\n", "depth = 4\ntrap_level = 3\n"
+                                 "trap_count = 1\ntrap_prior = 0.92\n")
+        assert self.distinct_games(tmp_path, capsys, text) > 1
 
     def test_odd_games_rejected(self, tmp_path, capsys):
         config = write_config(tmp_path, "m.ini",

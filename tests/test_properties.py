@@ -11,9 +11,12 @@ order; and a match between two drawn backups on the trap pool gives the
 same result and game records at one worker and at two.  The tree policy
 read from score tables picks the first argmax of its score formula
 computed per child, and a fresh node with uniform priors picks child 0.
+A search that stops once its move is decided picks the full search's move
+and keeps visit counts conserved.
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 from mctsopt.backup import (CoulomBackup, ErwaBackup, FeedbackBackup,
                             MonotoneBackup, SoftmaxBackup, StandardBackup,
                             coulom_parent_update, softmax_parent_update)
+from mctsopt.games.oracle import NoisyOracleEvaluator, RandomRolloutEvaluator
 from mctsopt.games.tictactoe import empty_board
 from mctsopt.search import (SearchConfig, SearchNode, _select_index, run_search,
                             _score_tables)
@@ -101,6 +105,42 @@ def test_search_invariants(kind, game, policy, data, sims, seed, exploration):
                 expected = softmax_parent_update(children, node.is_max,
                                                  strategy.profile, node.visits)
             assert node.q == expected
+
+
+@pytest.mark.parametrize("policy", ["PUCT", "UCB1"])
+@pytest.mark.parametrize("game", ["synthetic", "tictactoe"])
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data(), sims=st.integers(3, 200), seed=st.integers(0, 2**32),
+       exploration=st.floats(0.0, 3.0))
+def test_stopped_search_picks_the_full_search_move(kind, game, policy, data,
+                                                   sims, seed, exploration):
+    strategy = data.draw(backups(kind, 200))
+    if game == "synthetic":
+        pool = SyntheticPool(branching=data.draw(st.integers(2, 5)),
+                             depth=data.draw(st.integers(2, 6)))
+        root_state, evaluator = pool.make(seed), RandomRolloutEvaluator()
+    else:
+        root_state = empty_board()
+        for _ in range(data.draw(st.integers(0, 7))):
+            after = root_state.apply(data.draw(st.sampled_from(root_state.actions)))
+            if after.terminal:
+                break
+            root_state = after
+        evaluator = NoisyOracleEvaluator(data.draw(st.floats(0.0, 0.5)), seed)
+    for budget in (1, 2, sims):
+        config = SearchConfig(simulations=budget, policy=policy,
+                              exploration=exploration, backup=strategy,
+                              evaluator=evaluator, seed=seed)
+        full = run_search(root_state, config)
+        stopped = run_search(root_state, replace(config, stop_when_decided=True))
+
+        assert stopped.best_action == full.best_action
+        assert full.root.visits == budget
+        assert stopped.root.visits <= budget
+        for node in walk(stopped.root):
+            if node.children is not None:
+                assert node.visits == 1 + sum(c.visits for c in node.children)
 
 
 def reference_weights(kind, params, horizon):

@@ -3,6 +3,7 @@
 import gc
 import math
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from mctsopt.games.base import GameState
 from mctsopt.games.oracle import minimax_value
 from mctsopt.games.synthetic import SyntheticTree
 from mctsopt.games.tictactoe import empty_board
-from mctsopt.search import (SearchConfig, SearchNode, _select_index, run_search,
-                            _score_tables)
+from mctsopt.search import (SearchConfig, SearchNode, _decided, _select_index,
+                            run_search, _score_tables)
 from mctsopt.tournament import SyntheticPool
 
 
@@ -185,6 +186,57 @@ class TestRunSearchBasics:
                               root_priors=(1.0, 2.0))
         with pytest.raises(ValueError):
             run_search(wrong.root, SearchConfig(simulations=5))
+
+
+class TestDecided:
+    """The move is decided when ``left`` more root visits cannot change the
+    most visited child, ties going to the lower index."""
+
+    @staticmethod
+    def decided(visits, left):
+        root = make_parent([(0.5, n, 1.0) for n in visits])
+        return _decided(root.children, left)
+
+    def test_margin_left_over_a_lower_index_child_is_not_decided(self):
+        # Five more visits to child 0 tie it with child 1, and ties go to 0.
+        assert not self.decided([10, 15], 5)
+        assert not self.decided([3, 14, 20, 9], 6)
+
+    def test_margin_left_plus_one_over_a_lower_index_child_is_decided(self):
+        assert self.decided([9, 15], 5)
+        assert self.decided([3, 13, 20, 9], 6)
+
+    def test_margin_left_over_a_higher_index_child_is_decided(self):
+        assert self.decided([15, 10], 5)
+        assert self.decided([3, 9, 20, 14], 6)
+
+    def test_margin_below_left_over_a_higher_index_child_is_not_decided(self):
+        assert not self.decided([15, 11], 5)
+        assert not self.decided([3, 9, 20, 15], 6)
+
+    def test_no_simulations_left_is_always_decided(self):
+        assert self.decided([7, 7, 3], 0)
+        assert self.decided([0, 0], 0)
+
+    def test_a_lone_child_is_always_decided(self):
+        assert self.decided([0], 10)
+        assert self.decided([4], 10)
+
+    def test_search_stops_at_a_decided_move(self):
+        full_cfg = SearchConfig(simulations=400, policy="PUCT", exploration=0.1,
+                                seed=3)
+        stop_cfg = replace(full_cfg, stop_when_decided=True)
+        root_state = SyntheticPool(branching=4, depth=6).make(11)
+        full = run_search(root_state, full_cfg)
+        stopped = run_search(root_state, stop_cfg)
+        ran = stopped.root.visits
+        assert 400 // 2 < ran < 400
+        assert _decided(stopped.root.children, 400 - ran)
+        assert stopped.best_action == full.best_action
+        # Up to the stop, the search is the full search of that budget.
+        prefix = run_search(root_state, replace(full_cfg, simulations=ran))
+        assert prefix.visit_distribution == stopped.visit_distribution
+        assert prefix.root_q == stopped.root_q
 
 
 class ApplyLog:

@@ -331,3 +331,72 @@ class TestBook:
             winrate_objective(self.KNOTS[0], "softmax", base, horizon=40)
         assert counts == [{"StandardBackup": 4 * base.games,
                            "SoftmaxBackup": 4 * base.games}]
+
+
+class TestStopWhenDecided:
+    """Match searches stop once their move is decided, and play the games
+    full searches play."""
+
+    POOL = SyntheticPool(branching=4, depth=8, leaf_win_prob=0.75,
+                         trap_level=3, trap_count=1, trap_prior=0.92,
+                         trap_deviation_win_prob=0.95,
+                         trap_sealed_win_prob=0.65)
+    C6_KNOTS = (-3.5, -3.0, -2.5)
+
+    def base(self, games=6, sims=200, seed=31):
+        softmax = engine(policy="PUCT", exploration=0.1,
+                         backup=SoftmaxBackup.from_knots(self.C6_KNOTS, 1000))
+        standard = engine(policy="PUCT", exploration=0.1,
+                          backup=StandardBackup())
+        return MatchConfig(pool=self.POOL, engine_a=softmax,
+                           engine_b=standard, games=games,
+                           sims_per_move=sims, seed=seed)
+
+    @staticmethod
+    def play_both_ways(monkeypatch, play):
+        """play() once as the program runs it and once with every search
+        forced to its full budget; the simulations each way ran, summed
+        from the returned roots, with what play() returned."""
+        search = tournament.run_search
+        runs = {}
+        for force_full in (False, True):
+            ran = {"sims": 0, "searches": 0}
+
+            def counting(state, config):
+                if force_full:
+                    config = replace(config, stop_when_decided=False)
+                result = search(state, config)
+                ran["sims"] += result.root.visits
+                ran["searches"] += 1
+                return result
+
+            monkeypatch.setattr(tournament, "run_search", counting)
+            runs[force_full] = (play(), ran)
+        return runs[False], runs[True]
+
+    def test_trap_pool_match_plays_the_full_search_games(self, monkeypatch):
+        match = self.base()
+        (stopped, ran), (full, nominal) = self.play_both_ways(
+            monkeypatch, lambda: run_match(match, workers=1))
+        assert stopped == full
+        assert nominal["sims"] == nominal["searches"] * match.sims_per_move
+        assert ran["searches"] == nominal["searches"]
+        assert ran["sims"] < nominal["sims"]
+
+    def test_repeated_objective_on_one_book_plays_the_same_games(self,
+                                                                 monkeypatch):
+        base = self.base(games=4, seed=44)
+        played = TestBook.record_matches(monkeypatch)
+
+        def tune():
+            book, start = {}, len(played)
+            rates = [winrate_objective(k, "softmax", base, horizon=1000,
+                                       book=book)
+                     for k in (self.C6_KNOTS, (-5.0, -4.0, -3.0),
+                               self.C6_KNOTS)]
+            return rates, played[start:], book
+
+        (stopped, ran), (full, nominal) = self.play_both_ways(monkeypatch, tune)
+        assert stopped == full
+        assert ran["searches"] == nominal["searches"]
+        assert ran["sims"] < nominal["sims"]
